@@ -206,7 +206,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     from .harmonics import (
         NonGaussianModel,
         coefficients_csv_text,
-        sample_gaussian,
         sample_nongaussian,
         stream,
     )
@@ -214,11 +213,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
     level = HarmonicLevel(args.ell, args.d)
     model = NonGaussianModel.parse(args.model)
-    rng = stream(args.seed, 0, "cli.sample")
-    if model.family == "gaussian":
-        coeffs = sample_gaussian(level, rng)
-    else:
-        coeffs, _ = sample_nongaussian(model, level, rng)
+    # "gaussian" parses to a single-atom mixture, which draws exactly what
+    # sample_gaussian draws from the same stream
+    coeffs, _ = sample_nongaussian(model, level, stream(args.seed, 0, "cli.sample"))
     log.info("sampled ell=%d d=%d radius=%.6g", args.ell, args.d,
              coeffs.radius)
     text = coefficients_csv_text(coeffs)

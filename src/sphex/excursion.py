@@ -129,6 +129,14 @@ class CriticalPointSet:
         return out
 
 
+# critical-point search: seed cells per ell^2, dedupe radius times ell,
+# Newton iteration cap, and rotations tried before a set is flagged
+_SEED_CELLS_PER_ELL2 = 40
+_DEDUPE_RADIUS_ELL = 0.2
+_NEWTON_MAX_ITER = 40
+_ROTATION_ATTEMPTS = 3
+
+
 def _sample_rotation(coeffs: CoefficientVector, attempt: int) -> np.ndarray:
     """Haar-random rotation determined by the coefficient bytes.
 
@@ -239,58 +247,7 @@ def _dedupe_first_wins(points: np.ndarray, radius: float) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _fd_hessians(
-    coeffs: CoefficientVector, theta: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
-    """Covariant frame Hessians by 4th-order differencing of the gradient.
-
-    One batched gradient evaluation covers the full 8-point stencil of
-    every input point (step 1e-4 * pi / ell).  Returns (N, 2, 2).
-    """
-    ell = max(coeffs.level.ell, 1)
-    h = 1e-4 * math.pi / ell
-    n = theta.shape[0]
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    th = np.concatenate(
-        [
-            (theta[:, None] + offs[None, :]).ravel(),
-            np.repeat(theta, 4),
-            theta,
-        ]
-    )
-    ph = np.concatenate(
-        [
-            np.repeat(phi, 4),
-            (phi[:, None] + offs[None, :]).ravel(),
-            phi,
-        ]
-    )
-    g = harmonics._frame_gradient_angles(coeffs, th, ph)
-    g_theta_block = g[: 4 * n].reshape(n, 4, 2)
-    g_phi_block = g[4 * n : 8 * n].reshape(n, 4, 2)
-    g_center = g[8 * n :]
-    w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-    d_theta = np.einsum("k,nkj->nj", w, g_theta_block)
-    d_phi = np.einsum("k,nkj->nj", w, g_phi_block)
-    sin_t = np.maximum(np.sin(theta), 1e-12)
-    cot_t = np.cos(theta) / sin_t
-    h_tt = d_theta[:, 0]
-    h_tp = 0.5 * (d_theta[:, 1] + d_phi[:, 0] / sin_t - cot_t * g_center[:, 1])
-    h_pp = d_phi[:, 1] / sin_t + cot_t * g_center[:, 0]
-    out = np.empty((n, 2, 2))
-    out[:, 0, 0] = h_tt
-    out[:, 0, 1] = out[:, 1, 0] = h_tp
-    out[:, 1, 1] = h_pp
-    return out
-
-
-def find_critical_points(
-    coeffs: CoefficientVector,
-    seed_cells: Optional[int] = None,
-    dedupe_radius: Optional[float] = None,
-    max_iter: int = 40,
-    retries: int = 3,
-) -> CriticalPointSet:
+def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
     """Locate and classify all critical points of an explicit field on S^2.
 
     Seeds a Newton search for zeros of the gradient from the centers of an
@@ -299,12 +256,14 @@ def find_critical_points(
     the coefficients, so results never depend on where the field happens
     to sit relative to the chart poles and rescaled coefficients retrace
     the identical trajectory; positions are rotated back on output.
-    Converged iterates are merged first-wins within 0.2/ell, classified by
-    the eigenvalue signs of the finite-difference covariant Hessian, and
+    Newton runs at most 40 iterations.  Converged iterates are merged
+    first-wins within 0.2/ell, classified by the eigenvalue signs of the
+    analytic covariant Hessian (the same jet that drives Newton), and
     accepted only if the Morse count #min - #saddle + #max equals 2 with
     no eigenvalue inside the degeneracy floor 1e-6 * ell^2 * radius.  On
-    failure the search retries with a fresh rotation; persistent failure
-    returns the last attempt with ``degenerate_flag`` set.
+    failure the search retries with a fresh rotation, up to 3 attempts in
+    all; persistent failure returns the last attempt with
+    ``degenerate_flag`` set.
     """
     level = coeffs.level
     if level.dim != 2:
@@ -312,8 +271,8 @@ def find_critical_points(
     ell = level.ell
     if ell < 1:
         raise ValueError("constant fields (ell = 0) have no isolated critical points")
-    n_cells = max(40 * ell * ell, seed_cells or 0)
-    radius = dedupe_radius if dedupe_radius is not None else 0.2 / ell
+    n_cells = _SEED_CELLS_PER_ELL2 * ell * ell
+    radius = _DEDUPE_RADIUS_ELL / ell
     tol = 1e-8 * ell * coeffs.radius
     floor = 1e-6 * ell * ell * coeffs.radius
     seed_grid = iso_latitude_grid(n_cells).points
@@ -321,7 +280,7 @@ def find_critical_points(
     s_theta = np.arccos(z)
     s_phi = np.arctan2(seed_grid[:, 1], seed_grid[:, 0])
     last: Optional[CriticalPointSet] = None
-    for attempt in range(retries):
+    for attempt in range(_ROTATION_ATTEMPTS):
         # search the pulled-back field f(rot .) so the field's own critical
         # points sit at generic chart locations: the Legendre-derivative
         # recurrences degrade right at the chart poles, and a fresh rotation
@@ -329,7 +288,7 @@ def find_critical_points(
         # place critical points exactly on the poles otherwise)
         rot = _sample_rotation(coeffs, attempt)
         work = harmonics._rotated_coefficients(coeffs, rot)
-        root_t, root_p = _newton_roots(work, s_theta, s_phi, tol, max_iter)
+        root_t, root_p = _newton_roots(work, s_theta, s_phi, tol, _NEWTON_MAX_ITER)
         if root_t.size == 0:
             last = CriticalPointSet(level, [], True, attempt + 1)
             continue
@@ -342,18 +301,10 @@ def find_critical_points(
         )
         rep = _dedupe_first_wins(xyz, radius)
         root_t, root_p, xyz = root_t[rep], root_p[rep], xyz[rep]
-        # keep the difference stencil (step 1e-4 * pi / ell) on one side of
-        # the pole; a root this close to a pole is vanishingly rare and the
-        # displacement shows up honestly in its residual column
-        eps_band = 3e-4 * math.pi / ell
-        root_t = np.clip(root_t, eps_band, math.pi - eps_band)
-        hess = _fd_hessians(work, root_t, root_p)
-        grads = harmonics._frame_gradient_angles(work, root_t, root_p)
-        residuals = np.hypot(grads[:, 0], grads[:, 1])
-        mean = 0.5 * (hess[:, 0, 0] + hess[:, 1, 1])
-        half_gap = np.sqrt(
-            0.25 * (hess[:, 0, 0] - hess[:, 1, 1]) ** 2 + hess[:, 0, 1] ** 2
-        )
+        _, g_t, g_p, h_tt, h_tp, h_pp = harmonics._frame_jet2(work, root_t, root_p)
+        residuals = np.hypot(g_t, g_p)
+        mean = 0.5 * (h_tt + h_pp)
+        half_gap = np.sqrt(0.25 * (h_tt - h_pp) ** 2 + h_tp**2)
         eig_lo = mean - half_gap
         eig_hi = mean + half_gap
         values = evaluate(work, xyz)

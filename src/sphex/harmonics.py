@@ -201,11 +201,6 @@ def _legendre_rows(ell: int, x: np.ndarray, depth: int = 2) -> list[np.ndarray]:
     return [cur, prev, prev2][:depth]
 
 
-def _legendre_pair(ell: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows = _legendre_rows(ell, x, depth=2)
-    return rows[0], rows[1]
-
-
 def _check_s2(level: HarmonicLevel) -> None:
     if level.dim != 2:
         raise ValueError(
@@ -221,7 +216,7 @@ def _basis_matrix(ell: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     zonal function, slot 2m the cosine harmonic of order m, slot 2m+1 the
     sine harmonic of order m.
     """
-    p_l, _ = _legendre_pair(ell, np.cos(theta))
+    p_l = _legendre_rows(ell, np.cos(theta), depth=1)[0]
     n_pts = theta.shape[0]
     basis = np.empty((n_pts, 2 * ell + 1))
     basis[:, 0] = p_l[:, 0]
@@ -314,7 +309,7 @@ def evaluate_grid(coeffs: CoefficientVector, grid: SphereGrid) -> np.ndarray:
         return evaluate(coeffs, grid.points)
     ell = coeffs.level.ell
     thetas, phis = grid.rings
-    p_l, _ = _legendre_pair(ell, np.cos(thetas))
+    p_l = _legendre_rows(ell, np.cos(thetas), depth=1)[0]
     a = coeffs.alpha
     if ell == 0:
         vals = np.repeat(coeffs.radius * a[0] * p_l[:, 0], phis.shape[0])
@@ -342,41 +337,8 @@ def frame_gradient(
     """
     _check_s2(coeffs.level)
     pts = as_point_array(points)
-    theta, phi = _angles_of(pts)
-    return _frame_gradient_angles(coeffs, theta, phi)
-
-
-def _frame_gradient_angles(
-    coeffs: CoefficientVector, theta: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
-    ell = coeffs.level.ell
-    x = np.cos(theta)
-    sin_t = np.maximum(np.sin(theta), 1e-12)
-    p_l, p_lm1 = _legendre_pair(ell, x)
-    out = np.zeros((theta.shape[0], 2))
-    if ell == 0:
-        return out
-    orders = np.arange(ell + 1)
-    e = np.zeros(ell + 1)
-    e[: ell + 1] = np.sqrt(
-        (2.0 * ell + 1.0)
-        * (ell * ell - orders * orders).clip(min=0)
-        / (2.0 * ell - 1.0)
-    )
-    # d/d(theta) of P_bar_{ell,m}(cos theta)
-    dp = (ell * x[:, None] * p_l - e[None, :] * p_lm1) / sin_t[:, None]
-    a = coeffs.alpha
-    ang = phi[:, None] * orders[None, 1:]
-    cos_a, sin_a = np.cos(ang), np.sin(ang)
-    g_t = dp[:, 0] * a[0]
-    g_t += (_SQRT2 * dp[:, 1:] * (a[1::2] * cos_a + a[2::2] * sin_a)).sum(axis=1)
-    m_over_sin = orders[1:][None, :] / sin_t[:, None]
-    g_p = (
-        _SQRT2 * p_l[:, 1:] * m_over_sin * (-a[1::2] * sin_a + a[2::2] * cos_a)
-    ).sum(axis=1)
-    out[:, 0] = coeffs.radius * g_t
-    out[:, 1] = coeffs.radius * g_p
-    return out
+    _, g_t, g_p, _, _, _ = _frame_jet2(coeffs, *_angles_of(pts))
+    return np.column_stack([g_t, g_p])
 
 
 def _frame_jet2(
@@ -387,9 +349,9 @@ def _frame_jet2(
     Returns (value, g_theta, g_phi, h_tt, h_tp, h_pp) as flat arrays.  The
     second theta-derivative of the normalized Legendre functions is
     obtained by differentiating the first-derivative recurrence once more,
-    which pulls in the degree ell-2 row.  Used by Newton searches, where a
-    finite-difference Hessian per iterate would dominate the cost, and as
-    an independent cross-check of the finite-difference Hessian.
+    which pulls in the degree ell-2 row.  This is the one place the basis
+    is differentiated: gradients, Hessians, Newton searches and the
+    classification of critical points all read it.
     """
     ell = coeffs.level.ell
     x = np.cos(theta)
@@ -445,12 +407,12 @@ def ambient_gradient(
     """Riemannian gradient as tangent 3-vectors in ambient coordinates."""
     pts = as_point_array(points)
     theta, phi = _angles_of(pts)
-    g = _frame_gradient_angles(coeffs, theta, phi)
+    _, g_t, g_p, _, _, _ = _frame_jet2(coeffs, theta, phi)
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
     e_theta = np.column_stack([ct * cp, ct * sp, -st])
     e_phi = np.column_stack([-sp, cp, np.zeros_like(sp)])
-    return g[:, :1] * e_theta + g[:, 1:] * e_phi
+    return g_t[:, None] * e_theta + g_p[:, None] * e_phi
 
 
 def gradient_hessian(
@@ -458,45 +420,26 @@ def gradient_hessian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame gradient and covariant Hessian at a single point on S^2.
 
-    The gradient is analytic (Legendre derivative recurrences); the
-    Hessian applies fourth-order central differences with step
-    1e-4 * pi / ell to the analytic gradient and assembles the covariant
-    components in the orthonormal frame (e_theta, e_phi), symmetrizing the
-    mixed entry.  Points with |cos theta| >= 1 - 1e-8 raise ``ChartError``:
-    the polar chart degenerates there and callers are expected to work in
-    a rotated frame instead.
+    Both come from the analytic jet ``_frame_jet2``, with the Hessian's
+    components taken in the orthonormal frame (e_theta, e_phi).  Points
+    with |cos theta| >= 1 - 1e-8 raise ``ChartError``: the polar chart
+    degenerates there and callers are expected to work in a rotated frame
+    instead.
     """
     _check_s2(coeffs.level)
     pts = as_point_array(point)
     if pts.shape[0] != 1:
         raise ValueError("gradient_hessian expects a single point")
     theta, phi = _angles_of(pts)
-    t0, p0 = float(theta[0]), float(phi[0])
+    t0 = float(theta[0])
     if abs(math.cos(t0)) >= _POLE_BAND:
         raise ChartError(
             f"point with |cos theta| = {abs(math.cos(t0)):.12f} is inside the "
             "polar band; rotate the frame before differentiating"
         )
-    ell = max(coeffs.level.ell, 1)
-    h = 1e-4 * math.pi / ell
-    # stencil: rows = (theta offsets, phi held) then (phi offsets, theta held)
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    th = np.concatenate([t0 + offs, np.full(4, t0), [t0]])
-    ph = np.concatenate([np.full(4, p0), p0 + offs, [p0]])
-    g = _frame_gradient_angles(coeffs, th, ph)
-    w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-    d_theta = w @ g[0:4]      # d/dtheta of (g_t, g_p)
-    d_phi = w @ g[4:8]        # d/dphi of (g_t, g_p)
-    g_t, g_p = g[8]
-    sin_t = math.sin(t0)
-    cot_t = math.cos(t0) / sin_t
-    h_tt = d_theta[0]
-    h_tp_a = d_theta[1]
-    h_tp_b = d_phi[0] / sin_t - cot_t * g_p
-    h_pp = d_phi[1] / sin_t + cot_t * g_t
-    h_tp = 0.5 * (h_tp_a + h_tp_b)
-    grad = np.array([g_t, g_p])
-    hess = np.array([[h_tt, h_tp], [h_tp, h_pp]])
+    _, g_t, g_p, h_tt, h_tp, h_pp = _frame_jet2(coeffs, theta, phi)
+    grad = np.array([g_t[0], g_p[0]])
+    hess = np.array([[h_tt[0], h_tp[0]], [h_tp[0], h_pp[0]]])
     return grad, hess
 
 

@@ -3,8 +3,10 @@
 Quadrature oracles use Gauss-Legendre x uniform-longitude product rules,
 which are exact for the polynomial integrands appearing here; sampler laws
 are checked against closed-form moments and exact CDFs; derivatives are
-checked against value-only finite differences and the eigenfunction
-identity (the surface Laplacian equals -ell(ell+1) times the field).
+checked against value-only finite differences, the analytic Hessian also
+against a 4th-order difference stencil on the gradient, and both against
+the eigenfunction identity (the surface Laplacian equals -ell(ell+1)
+times the field).
 """
 
 import io
@@ -280,6 +282,32 @@ class TestSamplers:
                       < 3.0 * math.sqrt(2.0 / n_draws))
 
 
+def fd_hessian(cv, t0: float, p0: float) -> np.ndarray:
+    """Covariant frame Hessian by 4th-order differencing of the gradient.
+
+    The finite-difference route, kept only as an oracle for the analytic
+    jet.  The step is 1e-4 * pi / ell, so the theta stencil stays on one
+    side of the pole for colatitudes above 2e-4 * pi / ell; close to a pole
+    its accuracy drops to about 1e-6 of the Hessian scale.
+    """
+    h = 1e-4 * math.pi / max(cv.level.ell, 1)
+    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h
+    th = np.concatenate([t0 + offs, np.full(4, t0), [t0]])
+    ph = np.concatenate([np.full(4, p0), p0 + offs, [p0]])
+    st = np.sin(th)
+    g = frame_gradient(
+        cv, np.column_stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)]))
+    w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+    d_theta = w @ g[0:4]      # d/dtheta of (g_t, g_p)
+    d_phi = w @ g[4:8]        # d/dphi of (g_t, g_p)
+    g_t, g_p = g[8]
+    sin_t = math.sin(t0)
+    cot_t = math.cos(t0) / sin_t
+    h_tp = 0.5 * (d_theta[1] + d_phi[0] / sin_t - cot_t * g_p)
+    h_pp = d_phi[1] / sin_t + cot_t * g_t
+    return np.array([[d_theta[0], h_tp], [h_tp, h_pp]])
+
+
 class TestJets:
     def test_gradient_vs_value_fd(self):
         lv = HarmonicLevel(8, 2)
@@ -344,6 +372,37 @@ class TestJets:
                 val = evaluate(cv, p)
                 assert float(np.trace(hess)) == pytest.approx(
                     -lam * val, abs=1e-3 * lam * cv.radius)
+
+    def test_hessian_vs_gradient_fd(self):
+        for ell in (1, 3, 8, 17):
+            lv = HarmonicLevel(ell, 2)
+            cv = sample_gaussian(lv, stream(25, ell, "hess-fd"))
+            rng = np.random.default_rng(ell)
+            theta = rng.uniform(0.05, math.pi - 0.05, size=20)
+            phi = rng.uniform(-math.pi, math.pi, size=20)
+            scale = ell * (ell + 1) * cv.radius
+            for t0, p0 in zip(theta, phi):
+                _, hess = gradient_hessian(cv, SpherePoint.from_angles(t0, p0))
+                np.testing.assert_allclose(
+                    hess, fd_hessian(cv, t0, p0), rtol=0, atol=1e-9 * scale)
+
+    def test_hessian_near_poles(self):
+        # the analytic jet stays accurate right up to the polar band, where
+        # the difference stencil itself is the weaker route; the Laplacian
+        # identity holds there to near rounding
+        for ell in (5, 12, 24):
+            lv = HarmonicLevel(ell, 2)
+            cv = sample_gaussian(lv, stream(26, ell, "hess-pole"))
+            lam = ell * (ell + 1)
+            scale = lam * cv.radius
+            for t0 in (2e-4, 1e-3, math.pi - 1e-3):
+                for p0 in (0.0, 1.1, -2.5):
+                    p = SpherePoint.from_angles(t0, p0)
+                    _, hess = gradient_hessian(cv, p)
+                    np.testing.assert_allclose(
+                        hess, fd_hessian(cv, t0, p0), rtol=0, atol=1e-5 * scale)
+                    assert float(np.trace(hess)) == pytest.approx(
+                        -lam * evaluate(cv, p), abs=1e-7 * scale)
 
     def test_constant_field_jets(self):
         lv = HarmonicLevel(0, 2)

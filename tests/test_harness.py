@@ -7,6 +7,7 @@ independence between cells, exact theory columns, and the CSV/JSON
 output contract.
 """
 
+import hashlib
 import json
 import math
 import re
@@ -639,3 +640,52 @@ class TestConfigFile:
         )
         assert blob2["seed"] == 9
         assert blob2["config_hash"] != blob["config_hash"]
+
+
+class TestCriticalGolden:
+    """Byte contract of the critical-point campaigns at a fixed seed.
+
+    The CSV (minus the ``seconds`` column) and the JSON sidecar of small
+    epc and critical_density campaigns are pinned by SHA-256.  Both are
+    built from integer critical-point counts and closed-form limits, so
+    the digests do not depend on BLAS rounding; any change to how critical
+    points are found or classified that moves a single count shows here.
+    """
+
+    GOLDEN = {
+        "epc.csv": (
+            "00a9faf9c50f9ac281ae992c6aef2a65201e17321a301eac4ed59ef4c9be6e6a"
+        ),
+        "epc.json": (
+            "0c3b36f66dc25cd623ccdbaac498b911c1e369b929a7f100b99ff0ce602ae438"
+        ),
+        "critical_density.csv": (
+            "d47791b684fc831acfcd268bacd4d5437a3266728bb7f933dbb92a0b122d92fc"
+        ),
+        "critical_density.json": (
+            "122f00440e4ade73812d72d116333dc696bf86628aa102e95181626d7b1dd621"
+        ),
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        path = tmp_path / "golden.ini"
+        path.write_text(
+            "".join(
+                f"[{kind}]\n"
+                "ell_list = 6, 8, 10\n"
+                "u_list = -1.0, 0.0, 1.0\n"
+                "seed = 2015\n"
+                "replicates = 30\n\n"
+                for kind in ("epc", "critical_density")
+            )
+        )
+        out = tmp_path / "out"
+        run_config_file(str(path), str(out))
+        digests = {}
+        for name in self.GOLDEN:
+            if name.endswith(".csv"):
+                blob = "\n".join(csv_lines_without_seconds(out / name)).encode()
+            else:
+                blob = (out / name).read_bytes()
+            digests[name] = hashlib.sha256(blob).hexdigest()
+        assert digests == self.GOLDEN

@@ -28,7 +28,7 @@ from .harmonics import (
     evaluate,
     evaluate_grid,
 )
-from .specfun import CriticalKind, gaussian
+from .specfun import CriticalKind, _normal_cdf
 from .sphere_geom import SphereGrid, SphereMesh, SpherePoint, iso_latitude_grid
 
 __all__ = [
@@ -50,15 +50,20 @@ def excursion_volume(
 ) -> Union[float, np.ndarray]:
     """Normalized measure of the excursion set {f >= u}.
 
-    ``u`` may be a scalar or an array; the array path sorts the sampled
-    values once and answers every level by binary search, which is what
-    the variance sweeps rely on.  Summation order is fixed by the sort, so
-    repeated calls on identical inputs are bit-identical.
+    ``u`` may be a scalar or an array.  A scalar, and an array of up to
+    four levels, is answered by one weighted count per level; a longer
+    array sorts the sampled values once and answers every level by binary
+    search, which is what the variance sweeps rely on.  Summation order is
+    fixed by the count or the sort, so repeated calls on identical inputs
+    are bit-identical.
     """
     values, weights = _values_weights(sample)
     u_arr = np.asarray(u, dtype=float)
     if u_arr.ndim == 0:
         return float(np.dot(weights, (values >= u_arr).astype(float)))
+    if u_arr.size <= 4:
+        counts = [np.dot(weights, (values >= v).astype(float)) for v in u_arr.flat]
+        return np.array(counts).reshape(u_arr.shape)
     order = np.argsort(values, kind="stable")
     v_sorted = values[order]
     prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
@@ -88,7 +93,7 @@ def kolmogorov_distance(sample, scale: float = 1.0) -> float:
     v = values[order] / scale
     cum = np.cumsum(weights[order])
     cum /= cum[-1]
-    phi = gaussian(v).cdf
+    phi = _normal_cdf(v)
     d_plus = float(np.max(cum - phi))
     d_minus = float(np.max(phi - np.concatenate([[0.0], cum[:-1]])))
     return max(d_plus, d_minus)

@@ -296,32 +296,53 @@ def evaluate(
     return float(vals[0]) if scalar else vals
 
 
+def _ring_tables(grid: SphereGrid, ell: int) -> tuple[np.ndarray, ...]:
+    """Ring tables of the separable path, built once per (ell, grid).
+
+    Returns the zonal Legendre column over the rings and, for ell >= 1,
+    sqrt(2) P_bar for orders 1..ell over the rings and the cosine and
+    sine lattices of those orders over the longitudes.  They depend only
+    on the grid and the degree, so they are kept on the grid and every
+    later field of the same degree reuses them.  Only the last degree's
+    tables are kept: a campaign cell evaluates one degree per grid, and
+    a sweep over many degrees on one large grid would otherwise hold a
+    table set per degree.
+    """
+    tables = grid._ring_tables.get(ell)
+    if tables is None:
+        thetas, phis = grid.rings
+        p_l = _legendre_rows(ell, np.cos(thetas), depth=1)[0]
+        tables = (p_l[:, 0].copy(),)
+        if ell > 0:
+            ang = np.arange(1, ell + 1)[:, None] * phis[None, :]
+            tables += (_SQRT2 * p_l[:, 1:], np.cos(ang), np.sin(ang))
+        grid._ring_tables = {ell: tables}
+    return tables
+
+
 def evaluate_grid(coeffs: CoefficientVector, grid: SphereGrid) -> np.ndarray:
     """Evaluate on a grid, using the separable ring path when available.
 
     On an iso-latitude product grid the basis factorizes into a Legendre
     table over rings times cosine/sine lattices over longitudes, turning
     evaluation into two matrix products; this is what makes high-degree
-    sup-norm and excursion sweeps tractable.
+    sup-norm and excursion sweeps tractable.  The tables are cached on the
+    grid for the degree last evaluated, so evaluating many fields of one
+    degree on one grid builds them once.
     """
     _check_s2(coeffs.level)
     if grid.rings is None:
         return evaluate(coeffs, grid.points)
     ell = coeffs.level.ell
-    thetas, phis = grid.rings
-    p_l = _legendre_rows(ell, np.cos(thetas), depth=1)[0]
+    n_phi = grid.rings[1].shape[0]
+    tables = _ring_tables(grid, ell)
     a = coeffs.alpha
     if ell == 0:
-        vals = np.repeat(coeffs.radius * a[0] * p_l[:, 0], phis.shape[0])
-        return vals
-    orders = np.arange(1, ell + 1)
-    cos_lat = np.cos(orders[:, None] * phis[None, :])
-    sin_lat = np.sin(orders[:, None] * phis[None, :])
-    c_part = _SQRT2 * p_l[:, 1:] * a[1::2][None, :]
-    s_part = _SQRT2 * p_l[:, 1:] * a[2::2][None, :]
-    vals = np.outer(p_l[:, 0] * a[0], np.ones(phis.shape[0]))
-    vals += c_part @ cos_lat
-    vals += s_part @ sin_lat
+        return np.repeat(coeffs.radius * a[0] * tables[0], n_phi)
+    zonal, scaled, cos_lat, sin_lat = tables
+    vals = np.outer(zonal * a[0], np.ones(n_phi))
+    vals += (scaled * a[1::2][None, :]) @ cos_lat
+    vals += (scaled * a[2::2][None, :]) @ sin_lat
     return coeffs.radius * vals.ravel()
 
 
@@ -405,6 +426,7 @@ def ambient_gradient(
     coeffs: CoefficientVector, points: np.ndarray
 ) -> np.ndarray:
     """Riemannian gradient as tangent 3-vectors in ambient coordinates."""
+    _check_s2(coeffs.level)
     pts = as_point_array(points)
     theta, phi = _angles_of(pts)
     _, g_t, g_p, _, _, _ = _frame_jet2(coeffs, theta, phi)

@@ -48,6 +48,7 @@ from .excursion import (
     sup_norm,
 )
 from .harmonics import (
+    CoefficientVector,
     GramSimulator,
     NonGaussianModel,
     evaluate_grid,
@@ -281,18 +282,29 @@ def _frac_se(count: int, total: int) -> tuple[float, float]:
     return p, se
 
 
-def _volume_rows(values: np.ndarray, weights: np.ndarray,
-                 u_list: Sequence[float]) -> np.ndarray:
-    """Excursion volume at each u for one sample's values."""
-    if len(u_list) <= 4:
-        return np.array(
-            [float(np.dot(weights, values >= u)) for u in u_list]
-        )
-    return np.asarray(excursion_volume((values, weights), np.asarray(u_list)))
-
-
 def _sphere_grid(config: ExperimentConfig, ell: int, floor: int = 4) -> SphereGrid:
     return iso_latitude_grid(max(floor, config.grid_density * ell * ell))
+
+
+def _grid_replicates(
+    config: ExperimentConfig,
+    purpose: str,
+    grid: SphereGrid,
+    draw: Callable[[np.random.Generator], CoefficientVector],
+    functional: Callable[[CoefficientVector, tuple], object],
+) -> np.ndarray:
+    """The replicate loop of one grid cell, one result row per replicate.
+
+    Replicate ``rep`` draws its field with ``draw`` from
+    ``stream(seed, rep, purpose)``, evaluates it on ``grid`` and passes the
+    coefficients and the (values, weights) sample to ``functional``.
+    """
+    rows = []
+    for rep in range(config.replicates):
+        coeffs = draw(stream(config.seed, rep, purpose))
+        sample = (evaluate_grid(coeffs, grid), grid.weights)
+        rows.append(functional(coeffs, sample))
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +320,11 @@ def _run_variance_scaling(config: ExperimentConfig) -> ExperimentRecord:
     for ell in config.ell_list:
         t0 = time.perf_counter()
         level = HarmonicLevel(ell, config.dim)
-        grid = _sphere_grid(config, ell)
-        vols = np.empty((config.replicates, len(u_arr)))
-        for rep in range(config.replicates):
-            rng = stream(config.seed, rep, f"variance_scaling:ell={ell}")
-            coeffs = sample_gaussian(level, rng)
-            vals = evaluate_grid(coeffs, grid)
-            vols[rep] = _volume_rows(vals, grid.weights, u_arr)
+        vols = _grid_replicates(
+            config, f"variance_scaling:ell={ell}", _sphere_grid(config, ell),
+            lambda rng: sample_gaussian(level, rng),
+            lambda coeffs, sample: excursion_volume(sample, u_arr),
+        )
         elapsed = time.perf_counter() - t0
         per_u_var = []
         for j, u in enumerate(u_arr):
@@ -342,13 +352,11 @@ def _run_variance_scaling(config: ExperimentConfig) -> ExperimentRecord:
 def _pilot_statistics(config: ExperimentConfig, level: HarmonicLevel,
                       grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-ensemble pilot mean and variance of the volume functional."""
-    u_arr = list(config.u_list)
-    vols = np.empty((config.replicates, len(u_arr)))
-    for rep in range(config.replicates):
-        rng = stream(config.seed, rep, f"bad_set.pilot:ell={level.ell}")
-        coeffs = sample_gaussian(level, rng)
-        vals = evaluate_grid(coeffs, grid)
-        vols[rep] = _volume_rows(vals, grid.weights, u_arr)
+    vols = _grid_replicates(
+        config, f"bad_set.pilot:ell={level.ell}", grid,
+        lambda rng: sample_gaussian(level, rng),
+        lambda coeffs, sample: excursion_volume(sample, config.u_list),
+    )
     return vols.mean(axis=0), vols.var(axis=0, ddof=1)
 
 
@@ -386,12 +394,11 @@ def _run_bad_set(config: ExperimentConfig) -> ExperimentRecord:
             if config.centering == "pilot"
             else np.array([theory.excursion_mean_limit(u) for u in u_arr])
         )
-        devs = np.empty((config.replicates, len(u_arr)))
-        for rep in range(config.replicates):
-            rng = stream(config.seed, rep, f"bad_set.main:ell={ell}")
-            coeffs = sample_unit_coefficients(level, rng)
-            vals = evaluate_grid(coeffs, grid)
-            devs[rep] = np.abs(_volume_rows(vals, grid.weights, u_arr) - center)
+        devs = _grid_replicates(
+            config, f"bad_set.main:ell={ell}", grid,
+            lambda rng: sample_unit_coefficients(level, rng),
+            lambda coeffs, sample: np.abs(excursion_volume(sample, u_arr) - center),
+        )
         elapsed = time.perf_counter() - t0
         n = level.n
         eps_base = config.epsilon_base(n)
@@ -453,17 +460,16 @@ def _run_kol_decay(config: ExperimentConfig) -> ExperimentRecord:
     for ell in config.ell_list:
         t0 = time.perf_counter()
         level = HarmonicLevel(ell, config.dim)
-        dists = np.empty(config.replicates)
         if config.dim == 2:
-            grid = _sphere_grid(config, ell)
-            for rep in range(config.replicates):
-                rng = stream(config.seed, rep, f"kol_decay:ell={ell}")
-                coeffs = sample_gaussian(level, rng)
-                vals = evaluate_grid(coeffs, grid)
-                dists[rep] = kolmogorov_distance((vals, grid.weights))
+            dists = _grid_replicates(
+                config, f"kol_decay:ell={ell}", _sphere_grid(config, ell),
+                lambda rng: sample_gaussian(level, rng),
+                lambda coeffs, sample: kolmogorov_distance(sample),
+            )
         else:
             n_pts = min(config.grid_density * ell**config.dim, config.grid_cap)
             sim = GramSimulator(level, quasi_uniform_grid(config.dim, n_pts))
+            dists = np.empty(config.replicates)
             for rep in range(config.replicates):
                 rng = stream(config.seed, rep, f"kol_decay:ell={ell}")
                 dists[rep] = kolmogorov_distance(sim.sample(rng))
@@ -627,22 +633,19 @@ def _run_nongaussian(config: ExperimentConfig) -> ExperimentRecord:
         # the baseline consumes the same draws the model's Gaussian core
         # does, so a unit perturbation reproduces the baseline exactly and
         # genuine perturbations are compared pairwise on common noise
-        dev_model = np.empty(config.replicates)
-        dev_base = np.empty(config.replicates)
-        for rep in range(config.replicates):
-            rng = stream(config.seed, rep, f"nongaussian:ell={ell}")
-            coeffs, power = sample_nongaussian(model, level, rng)
-            vals = evaluate_grid(coeffs, grid)
-            vols = _volume_rows(vals, grid.weights, u_arr)
-            target = gaussian(u_arr / math.sqrt(power)).tail
-            dev_model[rep] = float(np.max(np.abs(vols - target)))
-        for rep in range(config.replicates):
-            rng = stream(config.seed, rep, f"nongaussian:ell={ell}")
-            coeffs = sample_gaussian(level, rng)
-            vals = evaluate_grid(coeffs, grid)
-            vols = _volume_rows(vals, grid.weights, u_arr)
-            target = gaussian(u_arr / coeffs.radius).tail
-            dev_base[rep] = float(np.max(np.abs(vols - target)))
+        purpose = f"nongaussian:ell={ell}"
+        dev_model = _grid_replicates(
+            config, purpose, grid,
+            lambda rng: sample_nongaussian(model, level, rng)[0],
+            lambda coeffs, sample: _max_deviation(
+                sample, u_arr, math.sqrt(coeffs.sample_power)
+            ),
+        )
+        dev_base = _grid_replicates(
+            config, purpose, grid,
+            lambda rng: sample_gaussian(level, rng),
+            lambda coeffs, sample: _max_deviation(sample, u_arr, coeffs.radius),
+        )
         elapsed = time.perf_counter() - t0
         m_mean, m_se = _mean_se(dev_model)
         b_mean, b_se = _mean_se(dev_base)
@@ -663,6 +666,12 @@ def _run_nongaussian(config: ExperimentConfig) -> ExperimentRecord:
             "ks_pvalue": float(ks.pvalue),
         }
     return ExperimentRecord(config, config.config_hash(), rows, constants)
+
+
+def _max_deviation(sample: tuple, u_arr: np.ndarray, scale: float) -> float:
+    """Largest gap between the excursion volumes and the N(0, scale^2) tail."""
+    target = gaussian(u_arr / scale).tail
+    return float(np.max(np.abs(excursion_volume(sample, u_arr) - target)))
 
 
 def _critical_point_campaign(config: ExperimentConfig, ell: int, purpose: str):

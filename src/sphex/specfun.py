@@ -299,6 +299,11 @@ class GaussianValues:
     tail: ArrayLike
 
 
+def _normal_cdf(arr: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a float array, through erfc."""
+    return 0.5 * erfc(-arr / math.sqrt(2.0))
+
+
 def gaussian(u: ArrayLike) -> GaussianValues:
     """Standard normal density, CDF and upper tail, all through erfc.
 
@@ -307,8 +312,8 @@ def gaussian(u: ArrayLike) -> GaussianValues:
     """
     arr, scalar = _as_float_array(u)
     pdf = np.exp(-0.5 * arr * arr) / _SQRT_2PI
-    cdf = 0.5 * erfc(-arr / math.sqrt(2.0))
-    tail = 0.5 * erfc(arr / math.sqrt(2.0))
+    cdf = _normal_cdf(arr)
+    tail = _normal_cdf(-arr)
     if scalar:
         return GaussianValues(float(pdf), float(cdf), float(tail))
     return GaussianValues(pdf, cdf, tail)

@@ -122,7 +122,9 @@ class SphereGrid:
     to 1, so expectations against the normalized surface measure are plain
     weighted averages.  ``rings`` is set for iso-latitude product grids and
     holds (thetas, phis); evaluation code uses it to take the fast
-    separable path.
+    separable path, and ``harmonics`` keeps the ring tables it builds from
+    them in ``_ring_tables``, keyed by degree, so a grid's rings must not
+    change once it has been evaluated on.
     """
 
     dim: int
@@ -130,6 +132,9 @@ class SphereGrid:
     weights: np.ndarray
     min_separation: float
     rings: Optional[tuple[np.ndarray, np.ndarray]] = None
+    _ring_tables: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=float)

@@ -82,6 +82,18 @@ class TestExcursionVolume:
         # each route is individually deterministic
         assert np.array_equal(batch, excursion_volume((values, weights), levels))
 
+    def test_short_array_is_the_scalar_route(self):
+        # up to four levels are counted one by one, so each entry is the
+        # scalar result bit for bit, whatever the array's shape
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(3000)
+        weights = np.full(3000, 1.0 / 3000)
+        for levels in ([0.0], [-1.0, 0.0, 1.0], [[-0.5, 0.2], [0.7, 2.0]]):
+            batch = excursion_volume((values, weights), levels)
+            assert batch.shape == np.shape(levels)
+            for u, vol in zip(np.ravel(levels), batch.ravel()):
+                assert vol == excursion_volume((values, weights), float(u))
+
     def test_monotone_in_u(self):
         rng = np.random.default_rng(6)
         values = rng.standard_normal(1000)
@@ -429,6 +441,17 @@ class TestSupNorm:
             s = FieldSample.explicit(cv, grid)
             value, _ = sup_norm(cv, grid=grid)
             assert value >= float(np.max(np.abs(s.values))) - 1e-12
+
+    def test_reused_grid_matches_fresh_grid(self):
+        # the grid keeps its ring tables between calls; interleaved degrees
+        # on one grid must give what a freshly built grid gives
+        shared = iso_latitude_grid(40 * 64)
+        for rep, ell in enumerate((5, 0, 8, 1, 5, 8)):
+            cv = sample_gaussian(HarmonicLevel(ell, 2), stream(20, rep, "supreuse"))
+            reused = sup_norm(cv, grid=shared)
+            fresh = sup_norm(cv, grid=iso_latitude_grid(40 * 64))
+            assert reused[0] == fresh[0]
+            assert np.array_equal(reused[1].coords, fresh[1].coords)
 
     def test_refine_improves_or_matches(self):
         cv = sample_gaussian(HarmonicLevel(9, 2), stream(21, 0, "supr"))

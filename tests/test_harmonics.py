@@ -22,6 +22,7 @@ from sphex.harmonics import (
     FieldSample,
     GramSimulator,
     NonGaussianModel,
+    ambient_gradient,
     coefficients_csv_text,
     covariance,
     evaluate,
@@ -203,6 +204,26 @@ class TestEvaluate:
             slow = np.asarray(evaluate(cv, grid.points))
             assert np.allclose(fast, slow, atol=1e-11 * cv.radius)
 
+    def test_grid_tables_reused_across_fields(self):
+        # one grid serves fields of interleaved degrees, including the
+        # constant and the degree-1 tables; every value must equal the
+        # evaluation on a freshly built copy of the grid, bit for bit, and
+        # a repeated degree must find its tables already on the grid
+        rng = stream(4, 1, "ringreuse")
+        shared = iso_latitude_grid(900)
+        previous = None
+        for ell in (3, 3, 0, 0, 11, 1, 1, 3, 24, 24, 11):
+            cv = sample_gaussian(HarmonicLevel(ell, 2), rng)
+            held = shared._ring_tables.get(ell)
+            reused = evaluate_grid(cv, shared)
+            fresh = evaluate_grid(cv, iso_latitude_grid(900))
+            assert np.array_equal(reused, fresh)
+            assert list(shared._ring_tables) == [ell]
+            assert (held is not None) == (ell == previous)
+            if held is not None:
+                assert shared._ring_tables[ell] is held
+            previous = ell
+
 
 class TestSamplers:
     def test_unit_coefficients_moments(self):
@@ -309,6 +330,12 @@ def fd_hessian(cv, t0: float, p0: float) -> np.ndarray:
 
 
 class TestJets:
+    def test_ambient_gradient_is_s2_only(self):
+        lv = HarmonicLevel(3, 3)
+        cv = sample_gaussian(lv, stream(20, 1, "ambient"))
+        with pytest.raises(ValueError, match="only available on S\\^2"):
+            ambient_gradient(cv, np.array([[0.0, 0.0, 0.0, 1.0]]))
+
     def test_gradient_vs_value_fd(self):
         lv = HarmonicLevel(8, 2)
         cv = sample_gaussian(lv, stream(20, 0, "jets"))

@@ -689,3 +689,72 @@ class TestCriticalGolden:
                 blob = (out / name).read_bytes()
             digests[name] = hashlib.sha256(blob).hexdigest()
         assert digests == self.GOLDEN
+
+
+class TestGridGolden:
+    """Byte contract of the grid campaigns at a fixed seed.
+
+    The record CSVs (minus the ``seconds`` column), the JSON sidecars and
+    the rate CSVs (which carry no timing) of small variance_scaling,
+    kol_decay and supnorm campaigns are pinned by SHA-256.  They depend on
+    every value ``evaluate_grid`` returns, so any change to the arithmetic
+    of grid evaluation, of the replicate loop or of the functionals shows
+    here.  At these degrees the digests are the same with 1 or 2 BLAS
+    threads.
+    """
+
+    GOLDEN = {
+        "variance_scaling.csv": (
+            "e412d3d3772a99aab11bd8be945db5276616eadbc922232cd10c3151e7f4c616"
+        ),
+        "variance_scaling.json": (
+            "ce2444621b7ce1115fb531bf04977d921930700d1b1a1e8f754af6dd085317dd"
+        ),
+        "variance_scaling_rates.csv": (
+            "3631eba932c182a2473d50a2f7a04d377f655c27c9bca54635c34d9a85686e29"
+        ),
+        "kol_decay.csv": (
+            "77e7420999cb16855ae89882df4185153ec210f5d7bbd94f1ee08c1ef1269181"
+        ),
+        "kol_decay.json": (
+            "42b0fb5f37161b63ef657c13fd6850e65a6b0bf6c11c648629f6d523f2c88ba6"
+        ),
+        "kol_decay_rates.csv": (
+            "9d070cd25f3f28f2af13ab4de59f45184dec1b38a9d15fefcd0064b44f9cccc2"
+        ),
+        "supnorm.csv": (
+            "882449e91ae73a0520034d545f2088921d122e1a5c07ec84a11bb1d82d2eace7"
+        ),
+        "supnorm.json": (
+            "afcaaa23e5ae4d3b94e451fd7c2f1f0ac27926d4d5da294dcc830a39a3fe006c"
+        ),
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        path = tmp_path / "golden.ini"
+        sections = {
+            "variance_scaling": "u_list = -1.0, 0.0, 1.0\n",
+            "kol_decay": "",
+            "supnorm": "",
+        }
+        path.write_text(
+            "".join(
+                f"[{kind}]\n"
+                "ell_list = 8, 12, 16\n"
+                f"{extra}"
+                "seed = 2015\n"
+                "replicates = 30\n\n"
+                for kind, extra in sections.items()
+            )
+        )
+        out = tmp_path / "out"
+        written = run_config_file(str(path), str(out))
+        assert sorted(p.rsplit("/", 1)[1] for p in written) == sorted(self.GOLDEN)
+        digests = {}
+        for name in self.GOLDEN:
+            if name.endswith("_rates.csv") or name.endswith(".json"):
+                blob = (out / name).read_bytes()
+            else:
+                blob = "\n".join(csv_lines_without_seconds(out / name)).encode()
+            digests[name] = hashlib.sha256(blob).hexdigest()
+        assert digests == self.GOLDEN

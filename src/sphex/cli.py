@@ -310,11 +310,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _parse_bound_args(name: str, text: str) -> dict:
-    from .theory import REGISTRY
+    from .theory import REGISTRY, _int_args
 
     if name not in REGISTRY:
         raise ValueError(f"unknown bound {name!r}; known: {sorted(REGISTRY)}")
-    _, _, int_names, _ = REGISTRY[name]
+    int_names = _int_args(REGISTRY[name][0])
     kwargs: dict = {}
     for token in filter(None, (t.strip() for t in text.split(","))):
         key, sep, raw = token.partition("=")

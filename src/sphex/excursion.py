@@ -306,13 +306,12 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
         )
         rep = _dedupe_first_wins(xyz, radius)
         root_t, root_p, xyz = root_t[rep], root_p[rep], xyz[rep]
-        _, g_t, g_p, h_tt, h_tp, h_pp = harmonics._frame_jet2(work, root_t, root_p)
+        values, g_t, g_p, h_tt, h_tp, h_pp = harmonics._frame_jet2(work, root_t, root_p)
         residuals = np.hypot(g_t, g_p)
         mean = 0.5 * (h_tt + h_pp)
         half_gap = np.sqrt(0.25 * (h_tt - h_pp) ** 2 + h_tp**2)
         eig_lo = mean - half_gap
         eig_hi = mean + half_gap
-        values = evaluate(work, xyz)
         # map chart locations back to field positions: g(x) = f(rot x)
         field_xyz = xyz @ rot.T
         field_xyz /= np.linalg.norm(field_xyz, axis=1, keepdims=True)

@@ -65,7 +65,12 @@ class ChartError(ValueError):
 
 
 class GeometryError(RuntimeError):
-    """Raised when a covariance Gram matrix cannot be factorized."""
+    """Raised on degenerate geometry.
+
+    A covariance Gram matrix that cannot be factorized, or a critical point
+    set flagged degenerate, whose Morse count
+    ``excursion.euler_characteristic_morse`` refuses.
+    """
 
 
 def stream(

@@ -15,10 +15,11 @@ by the harness, never hard-coded.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, get_type_hints
 
 from scipy.stats import chi2 as _chi2
 
@@ -329,121 +330,55 @@ def density_ratio_bound(
 
 
 # Registry used by the command line ``theory`` subcommand: name -> (callable,
-# ordered argument names, integer-valued argument names, citation anchor).
-REGISTRY: dict[str, tuple[Callable, tuple[str, ...], frozenset, str]] = {
-    "badset": (
-        bad_set_bound,
-        ("epsilon", "n", "sigma_sq", "c"),
-        frozenset({"n"}),
-        "Chebyshev bound for regular excursion functionals",
-    ),
-    "gkf-epc": (
-        gkf_epc_expectation,
-        ("ell", "u"),
-        frozenset({"ell"}),
-        "Gaussian kinematic formula, sphere",
-    ),
-    "epc-limit": (
-        epc_limit,
-        ("u",),
-        frozenset(),
-        "Morse identity for excursion Euler characteristics",
-    ),
-    "excursion-mean": (
-        excursion_mean_limit,
-        ("u",),
-        frozenset(),
-        "Gaussian one-point marginal",
-    ),
-    "epc-var": (
-        epc_variance_leading,
-        ("ell", "u"),
-        frozenset({"ell"}),
-        "EPC variance leading term",
-    ),
-    "kol-bound": (
-        kolmogorov_measure_bound,
-        ("n", "epsilon", "K"),
-        frozenset({"n"}),
-        "Kolmogorov distance measure bound",
-    ),
-    "kol-rate": (
-        kolmogorov_rate_exponents,
-        ("ell", "dim"),
-        frozenset({"ell", "dim"}),
-        "Kolmogorov distance decay exponents",
-    ),
-    "supnorm-tail": (
-        sup_norm_tail_bound,
-        ("M", "beta", "ell"),
-        frozenset({"ell"}),
-        "sup-norm upper tail via Borel-TIS",
-    ),
-    "supnorm-lower": (
-        sup_norm_lower_params,
-        ("K", "dim"),
-        frozenset({"dim"}),
-        "sup-norm lower bound parameters",
-    ),
-    "cramer": (
-        cramer_transform,
-        ("x",),
-        frozenset(),
-        "Cramér transform, normalized chi-square",
-    ),
-    "ldp": (
-        chi_square_tail_rate,
-        ("a", "n"),
-        frozenset({"n"}),
-        "chi-square large deviations",
-    ),
-    "borel-tis": (
-        borel_tis_tail,
-        ("t", "expected_sup"),
-        frozenset(),
-        "Borel-TIS inequality",
-    ),
-    "mills": (mills, ("z",), frozenset(), "Mills' ratio sandwich"),
-    "sogge": (
-        sogge_exponent,
-        ("p",),
-        frozenset(),
-        "Sogge L^p eigenfunction exponents",
-    ),
-    "density-ratio": (
-        density_ratio_bound,
-        ("epsilon", "n", "sigma_sq", "density_sup"),
-        frozenset({"n"}),
-        "Radon-Nikodym deviation bound",
-    ),
-    "critical-limit": (
-        critical_count_limit,
-        ("kind", "u"),
-        frozenset(),
-        "Kac-Rice critical value tails",
-    ),
+# citation anchor).  Argument names are read from each callable's signature,
+# and the arguments the command line parses as integers from its ``int``
+# annotations (``_int_args``), so a bound is declared exactly once.
+REGISTRY: dict[str, tuple[Callable, str]] = {
+    "badset": (bad_set_bound, "Chebyshev bound for regular excursion functionals"),
+    "gkf-epc": (gkf_epc_expectation, "Gaussian kinematic formula, sphere"),
+    "epc-limit": (epc_limit, "Morse identity for excursion Euler characteristics"),
+    "excursion-mean": (excursion_mean_limit, "Gaussian one-point marginal"),
+    "epc-var": (epc_variance_leading, "EPC variance leading term"),
+    "kol-bound": (kolmogorov_measure_bound, "Kolmogorov distance measure bound"),
+    "kol-rate": (kolmogorov_rate_exponents, "Kolmogorov distance decay exponents"),
+    "supnorm-tail": (sup_norm_tail_bound, "sup-norm upper tail via Borel-TIS"),
+    "supnorm-lower": (sup_norm_lower_params, "sup-norm lower bound parameters"),
+    "cramer": (cramer_transform, "Cramér transform, normalized chi-square"),
+    "ldp": (chi_square_tail_rate, "chi-square large deviations"),
+    "borel-tis": (borel_tis_tail, "Borel-TIS inequality"),
+    "mills": (mills, "Mills' ratio sandwich"),
+    "sogge": (sogge_exponent, "Sogge L^p eigenfunction exponents"),
+    "density-ratio": (density_ratio_bound, "Radon-Nikodym deviation bound"),
+    "critical-limit": (critical_count_limit, "Kac-Rice critical value tails"),
 }
 
 
+def _int_args(fn: Callable) -> frozenset[str]:
+    """Names of the arguments of ``fn`` annotated ``int``."""
+    hints = get_type_hints(fn)
+    return frozenset(k for k in inspect.signature(fn).parameters if hints.get(k) is int)
+
+
 def evaluate_bound(name: str, **kwargs) -> BoundReport:
-    """Evaluate a registered bound by name into a ``BoundReport``."""
+    """Evaluate a registered bound by name into a ``BoundReport``.
+
+    A bound returning a tuple reports its first entry.
+    """
     if name not in REGISTRY:
         raise KeyError(f"unknown bound {name!r}; known: {sorted(REGISTRY)}")
-    fn, argnames, _, anchor = REGISTRY[name]
+    fn, anchor = REGISTRY[name]
+    argnames = list(inspect.signature(fn).parameters)
     missing = [a for a in argnames if a not in kwargs]
     if missing:
         raise ValueError(f"{name} missing arguments: {missing}")
     value = fn(**{k: kwargs[k] for k in argnames})
-    if isinstance(value, tuple):
-        flat = value[0] if not isinstance(value[0], tuple) else value[0][0]
-    else:
-        flat = value
+    flat = value[0] if isinstance(value, tuple) else value
     numeric_inputs = {
         k: v for k, v in kwargs.items() if isinstance(v, (int, float))
     }
     return BoundReport(
         name=name,
         inputs=numeric_inputs,
-        bound_value=float(flat) if flat is not None else 0.0,
+        bound_value=float(flat),
         anchor=anchor,
     )

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import sphex
 from sphex.cli import _THREAD_ENV_VARS, fmt12, main
 from sphex.excursion import (
     euler_characteristic_mesh,
@@ -113,6 +114,75 @@ class TestScalarCommands:
                      "--args", "kind=saddle,u=0"]) == 0
         want = fmt12(critical_tail("saddle", 0.0))
         assert capsys.readouterr().out == want + "\n"
+
+
+# Fixed arguments for every registered bound and the exact stdout
+# ``sphex theory`` prints for them.
+THEORY_PINS = [
+    ("badset", "epsilon=0.1,n=100,sigma_sq=0.01,c=1", "8.00000000000"),
+    ("gkf-epc", "ell=8,u=0.5", "3.14524247503"),
+    ("epc-limit", "u=0.7", "0.218577753357"),
+    ("excursion-mean", "u=-0.3", "0.617911422189"),
+    ("epc-var", "ell=12,u=1.1", "24.0736734828"),
+    ("kol-bound", "n=81,epsilon=0.2,K=0.5", "0.771604938272"),
+    ("kol-rate", "ell=9,dim=3", "0.666666666667"),
+    ("supnorm-tail", "M=1.5,beta=2,ell=64", "7.13766893118"),
+    ("supnorm-lower", "K=0.1,dim=3", "0.280975743475"),
+    ("cramer", "x=1.5", "0.0472674459459"),
+    ("ldp", "a=1.5,n=400", "6.14898765041e-09"),
+    ("borel-tis", "t=3,expected_sup=1.2", "0.197898699084"),
+    ("mills", "z=1.3", "0.165635070381"),
+    ("sogge", "p=4", "0.125000000000"),
+    ("density-ratio", "epsilon=0.3,n=50,sigma_sq=0.2,density_sup=1.5",
+     "278.111111111"),
+    ("critical-limit", "kind=saddle,u=0.5", "0.111566077936"),
+]
+
+KNOWN_BOUNDS = (
+    "['badset', 'borel-tis', 'cramer', 'critical-limit', 'density-ratio', "
+    "'epc-limit', 'epc-var', 'excursion-mean', 'gkf-epc', 'kol-bound', "
+    "'kol-rate', 'ldp', 'mills', 'sogge', 'supnorm-lower', 'supnorm-tail']"
+)
+
+
+class TestTheoryPinned:
+    def test_pins_cover_the_registry(self):
+        from sphex.theory import REGISTRY
+
+        assert sorted(name for name, _, _ in THEORY_PINS) == sorted(REGISTRY)
+
+    @pytest.mark.parametrize("name,args,want", THEORY_PINS,
+                             ids=[pin[0] for pin in THEORY_PINS])
+    def test_stdout(self, name, args, want, capsys):
+        assert main(["theory", name, "--args", args]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == want + "\n"
+        assert captured.err == ""
+
+    def test_integer_arguments_reach_the_report_as_int(self):
+        from sphex.cli import _parse_bound_args
+        from sphex.theory import evaluate_bound
+
+        kwargs = _parse_bound_args("badset", "epsilon=0.1,n=100,sigma_sq=0.01,c=1")
+        report = evaluate_bound("badset", **kwargs)
+        assert isinstance(report.inputs["n"], int)
+        assert isinstance(report.inputs["epsilon"], float)
+
+    @pytest.mark.parametrize("name,args,err", [
+        ("kol-rate", "ell=8.0,dim=2",
+         "invalid literal for int() with base 10: '8.0'"),
+        ("ldp", "a=1.5,n=4.5",
+         "invalid literal for int() with base 10: '4.5'"),
+        ("badset", "epsilon=0.1,n=100",
+         "badset missing arguments: ['sigma_sq', 'c']"),
+        ("no-such-bound", "x=1",
+         f"unknown bound 'no-such-bound'; known: {KNOWN_BOUNDS}"),
+    ], ids=["float-for-int", "fractional-n", "missing-args", "unknown-name"])
+    def test_errors(self, name, args, err, capsys):
+        assert main(["theory", name, "--args", args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
 
 class TestSample:
@@ -304,16 +374,20 @@ class TestEnvironment:
 
 class TestStderrContract:
     def test_verbose_logs_to_stderr_only(self, tmp_path):
-        # subprocess: logging.basicConfig binds per process
+        # subprocess: logging.basicConfig binds per process; the child
+        # imports the same sphex package as this process
+        package_root = os.path.dirname(os.path.dirname(sphex.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         quiet = subprocess.run(
             [sys.executable, "-m", "sphex.cli", "sample", "--ell", "3",
              "--seed", "4"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         loud = subprocess.run(
             [sys.executable, "-m", "sphex.cli", "--verbose", "sample",
              "--ell", "3", "--seed", "4"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert quiet.returncode == 0 and loud.returncode == 0
         assert quiet.stdout == loud.stdout  # data channel unaffected

@@ -6,6 +6,7 @@ transcription slip in any formula shows up as a hard failure rather than
 a self-consistent wrong answer.
 """
 
+import inspect
 import json
 import math
 
@@ -330,16 +331,40 @@ class TestDensityRatioBound:
 class TestRegistryAndReports:
     def test_registry_shape(self):
         assert len(REGISTRY) >= 15
-        for name, (fn, argnames, int_args, anchor) in REGISTRY.items():
+        for name, (fn, anchor) in REGISTRY.items():
             assert callable(fn)
             assert anchor.strip()
-            assert int_args <= set(argnames), name
+            # every argument is named and required, so the signature alone
+            # says what ``evaluate_bound`` and the command line must supply
+            for param in inspect.signature(fn).parameters.values():
+                assert param.default is inspect.Parameter.empty, (name, param)
+                assert param.kind not in (
+                    inspect.Parameter.VAR_POSITIONAL,
+                    inspect.Parameter.VAR_KEYWORD,
+                ), (name, param)
+
+    def test_integer_arguments_from_annotations(self):
+        from sphex.theory import _int_args
+
+        found = {name: _int_args(fn) for name, (fn, _) in REGISTRY.items()}
+        assert {name: set(v) for name, v in found.items() if v} == {
+            "badset": {"n"},
+            "gkf-epc": {"ell"},
+            "epc-var": {"ell"},
+            "kol-bound": {"n"},
+            "kol-rate": {"ell", "dim"},
+            "supnorm-tail": {"ell"},
+            "supnorm-lower": {"dim"},
+            "ldp": {"n"},
+            "density-ratio": {"n"},
+        }
 
     def test_evaluate_bound_matches_direct_call(self):
         report = evaluate_bound("badset", epsilon=0.1, n=100, sigma_sq=0.01, c=1.0)
         assert report.bound_value == pytest.approx(8.0, rel=1e-12)
         assert report.name == "badset"
         assert report.inputs["n"] == 100
+        assert isinstance(report.inputs["n"], int)
 
     def test_evaluate_bound_tuple_flattening(self):
         ldp = evaluate_bound("ldp", a=1.5, n=400)

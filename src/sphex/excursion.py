@@ -12,6 +12,7 @@ independent combinatorial route through triangulated meshes.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -162,31 +163,53 @@ def _sample_rotation(coeffs: CoefficientVector, attempt: int) -> np.ndarray:
     return q
 
 
+@functools.lru_cache(maxsize=1)
+def _seed_rings(ell: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Newton seeds of degree ell and their ring jet tables, last degree only.
+
+    The seeds are the points of an iso-latitude grid of at least 40 ell^2
+    cells, in its ring-major order and at its exact ring coordinates; the
+    tables let the first Newton iteration synthesize the jet at every
+    seed by matrix products (``harmonics._ring_jet2``).  One degree is
+    kept, since a campaign cell searches many fields of one degree.
+    """
+    thetas, phis = iso_latitude_grid(_SEED_CELLS_PER_ELL2 * ell * ell).rings
+    seeds = (np.repeat(thetas, phis.size), np.tile(phis, thetas.size))
+    tables = harmonics._ring_jet_tables(ell, thetas, phis)
+    for arr in (*seeds, *tables):
+        arr.flags.writeable = False
+    return seeds, tables
+
+
 def _newton_roots(
     coeffs: CoefficientVector,
     seeds_theta: np.ndarray,
     seeds_phi: np.ndarray,
+    seed_jet: tuple[np.ndarray, ...],
     tol: float,
-    max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched damped Newton iteration on the frame gradient.
 
-    Returns (theta, phi) arrays of converged iterates.  Non-converged or
-    escaped seeds are silently dropped; completeness is the caller's
-    responsibility (seed density plus the Morse-count check).
+    ``seed_jet`` is the ``_frame_jet2`` output at the seeds, which the
+    first iteration uses; later iterations evaluate the jet at the
+    iterates.  Returns (theta, phi) arrays of converged iterates.
+    Non-converged or escaped seeds are silently dropped; completeness is
+    the caller's responsibility (seed density plus the Morse-count check).
     """
     ell = coeffs.level.ell
-    theta = seeds_theta.copy()
-    phi = seeds_phi.copy()
+    theta, phi = seeds_theta, seeds_phi
     step_cap = 0.5 * math.pi / ell
     quantum = 0.05 / ell
     converged_t: list[np.ndarray] = []
     converged_p: list[np.ndarray] = []
     blow_up = 50.0 * ell * coeffs.radius * max(ell, 1)
-    for it in range(max_iter):
+    jet = seed_jet
+    for it in range(_NEWTON_MAX_ITER):
         if theta.size == 0:
             break
-        _, g_t, g_p, h_tt, h_tp, h_pp = harmonics._frame_jet2(coeffs, theta, phi)
+        if it:
+            jet = harmonics._frame_jet2(coeffs, theta, phi)
+        _, g_t, g_p, h_tt, h_tp, h_pp = jet
         gnorm = np.hypot(g_t, g_p)
         done = gnorm <= tol
         if np.any(done):
@@ -261,7 +284,9 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
     the coefficients, so results never depend on where the field happens
     to sit relative to the chart poles and rescaled coefficients retrace
     the identical trajectory; positions are rotated back on output.
-    Newton runs at most 40 iterations.  Converged iterates are merged
+    Newton runs at most 40 iterations; the first evaluates the jet on the
+    seed grid's rings by matrix products, from tables kept with the grid
+    for the last degree searched.  Converged iterates are merged
     first-wins within 0.2/ell, classified by the eigenvalue signs of the
     analytic covariant Hessian (the same jet that drives Newton), and
     accepted only if the Morse count #min - #saddle + #max equals 2 with
@@ -276,14 +301,10 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
     ell = level.ell
     if ell < 1:
         raise ValueError("constant fields (ell = 0) have no isolated critical points")
-    n_cells = _SEED_CELLS_PER_ELL2 * ell * ell
     radius = _DEDUPE_RADIUS_ELL / ell
     tol = 1e-8 * ell * coeffs.radius
     floor = 1e-6 * ell * ell * coeffs.radius
-    seed_grid = iso_latitude_grid(n_cells).points
-    z = np.clip(seed_grid[:, 2], -1.0, 1.0)
-    s_theta = np.arccos(z)
-    s_phi = np.arctan2(seed_grid[:, 1], seed_grid[:, 0])
+    (s_theta, s_phi), tables = _seed_rings(ell)
     last: Optional[CriticalPointSet] = None
     for attempt in range(_ROTATION_ATTEMPTS):
         # search the pulled-back field f(rot .) so the field's own critical
@@ -293,7 +314,8 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
         # place critical points exactly on the poles otherwise)
         rot = _sample_rotation(coeffs, attempt)
         work = harmonics._rotated_coefficients(coeffs, rot)
-        root_t, root_p = _newton_roots(work, s_theta, s_phi, tol, _NEWTON_MAX_ITER)
+        seed_jet = harmonics._ring_jet2(work, tables)
+        root_t, root_p = _newton_roots(work, s_theta, s_phi, seed_jet, tol)
         if root_t.size == 0:
             last = CriticalPointSet(level, [], True, attempt + 1)
             continue

@@ -23,6 +23,7 @@ order in which replicates are drawn.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -58,6 +59,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _POLE_BAND = 1.0 - 1e-8
+_JET_BLOCK = 2048  # points per block of _frame_jet2
 
 
 class ChartError(ValueError):
@@ -164,30 +166,13 @@ def sample_gaussian(
 # ---------------------------------------------------------------------------
 
 
-def _legendre_rows(ell: int, x: np.ndarray, depth: int = 2) -> list[np.ndarray]:
-    """Fully normalized associated Legendre values at the top ``depth`` degrees.
+@functools.lru_cache(maxsize=8)
+def _legendre_coefficients(ell: int) -> tuple[tuple, ...]:
+    """Recurrence coefficients (a, b, sqrt(2n+1), sqrt((2n+1)/2n)), n = 2..ell.
 
-    Returns ``depth`` arrays of shape (N, ell+1); entry k holds, in column
-    m, the value of P_bar_{ell-k, m}(x) (zero where m exceeds the degree).
-    The normalization satisfies integral of P_bar^2 over [-1, 1] equal to
-    2, so the zonal basis function is exactly P_bar_{ell,0}.
-
-    The recurrence runs degree-major (all orders m advanced at once per
-    degree), which keeps the Python-level loop at O(ell) iterations; the
-    order-major variant costs O(ell^2) interpreter passes and dominates
-    everything else at high degree.
+    ``a`` and ``b`` are columns over the orders m < n - 1.
     """
-    x = np.asarray(x, dtype=float)
-    n_pts = x.shape[0]
-    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    prev = np.zeros((n_pts, ell + 1))
-    prev[:, 0] = 1.0
-    if ell == 0:
-        return [prev] + [np.zeros((n_pts, 1)) for _ in range(depth - 1)]
-    cur = np.zeros((n_pts, ell + 1))
-    cur[:, 0] = math.sqrt(3.0) * x
-    cur[:, 1] = math.sqrt(1.5) * sx
-    prev2 = np.zeros((n_pts, ell + 1))
+    coeffs = []
     for n in range(2, ell + 1):
         nn = float(n)
         m = np.arange(0, n - 1, dtype=float)
@@ -196,14 +181,62 @@ def _legendre_rows(ell: int, x: np.ndarray, depth: int = 2) -> list[np.ndarray]:
             ((2.0 * nn + 1.0) * ((nn - 1.0) ** 2 - m * m))
             / ((2.0 * nn - 3.0) * (nn * nn - m * m))
         )
-        nxt = prev2  # recycle the oldest buffer
-        nxt[:, : n - 1] = a * (x[:, None] * cur[:, : n - 1]) - b * prev[:, : n - 1]
-        nxt[:, n - 1] = math.sqrt(2.0 * nn + 1.0) * x * cur[:, n - 1]
-        nxt[:, n] = math.sqrt((2.0 * nn + 1.0) / (2.0 * nn)) * sx * cur[:, n - 1]
-        if n > 2:
-            nxt[:, n + 1 :] = 0.0  # clear columns left over from recycling
+        coeffs.append((
+            a[:, None],
+            b[:, None],
+            math.sqrt(2.0 * nn + 1.0),
+            math.sqrt((2.0 * nn + 1.0) / (2.0 * nn)),
+        ))
+    return tuple(coeffs)
+
+
+def _legendre_rows(ell: int, x: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Fully normalized associated Legendre values at the top ``depth`` degrees.
+
+    Returns ``depth`` arrays of shape (N, ell+1); entry k holds, in column
+    m, the value of P_bar_{ell-k, m}(x) (zero where m exceeds the degree).
+    The normalization satisfies integral of P_bar^2 over [-1, 1] equal to
+    2, so the zonal basis function is exactly P_bar_{ell,0}.
+
+    Each pass of the loop advances all orders m of one degree at once, so
+    the interpreter runs O(ell) passes.  The buffers are laid out
+    order-major, (ell+1, N): the orders a pass touches form one contiguous
+    block, and in-place ufuncs (``out=``) write into the three recycled
+    buffers and one scratch buffer instead of allocating a temporary per
+    operation.  Each element sees the same floating-point operations in
+    the same order as the degree-major (N, ell+1) form, so the values are
+    bit-identical to it.  The rows come back as C-contiguous (N, ell+1)
+    copies because callers reduce them with ``.sum(axis=1)``, whose
+    pairwise summation order follows the memory layout; handing back the
+    transposed views would change the last bits of every such sum.
+    """
+    x = np.asarray(x, dtype=float)
+    n_pts = x.shape[0]
+    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    if ell == 0:
+        return [np.ones((n_pts, 1))] + [np.zeros((n_pts, 1)) for _ in range(depth - 1)]
+    prev2 = np.zeros((ell + 1, n_pts))
+    prev = np.zeros((ell + 1, n_pts))
+    prev[0] = 1.0
+    cur = np.zeros((ell + 1, n_pts))
+    cur[0] = math.sqrt(3.0) * x
+    cur[1] = math.sqrt(1.5) * sx
+    scratch = np.empty((ell - 1, n_pts))
+    for n, (a, b, c_diag, c_next) in enumerate(_legendre_coefficients(ell), start=2):
+        # the oldest buffer holds degree n-3, so its rows above n are
+        # already zero; rows 0..n are overwritten below
+        nxt = prev2
+        low, tmp = nxt[: n - 1], scratch[: n - 1]
+        np.multiply(cur[: n - 1], x, out=low)
+        low *= a
+        np.multiply(prev[: n - 1], b, out=tmp)
+        low -= tmp
+        np.multiply(x, c_diag, out=nxt[n - 1])
+        nxt[n - 1] *= cur[n - 1]
+        np.multiply(sx, c_next, out=nxt[n])
+        nxt[n] *= cur[n - 1]
         prev2, prev, cur = prev, cur, nxt
-    return [cur, prev, prev2][:depth]
+    return [np.ascontiguousarray(rows.T) for rows in (cur, prev, prev2)[:depth]]
 
 
 def _check_s2(level: HarmonicLevel) -> None:
@@ -367,30 +400,22 @@ def frame_gradient(
     return np.column_stack([g_t, g_p])
 
 
-def _frame_jet2(
-    coeffs: CoefficientVector, theta: np.ndarray, phi: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Value, frame gradient and covariant frame Hessian, all analytic.
+def _jet_rows(
+    ell: int, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Legendre rows of degree ell and their first two theta-derivatives.
 
-    Returns (value, g_theta, g_phi, h_tt, h_tp, h_pp) as flat arrays.  The
-    second theta-derivative of the normalized Legendre functions is
-    obtained by differentiating the first-derivative recurrence once more,
-    which pulls in the degree ell-2 row.  This is the one place the basis
-    is differentiated: gradients, Hessians, Newton searches and the
-    classification of critical points all read it.
+    Returns (x, s, P_bar, dP_bar/dtheta, d2P_bar/dtheta2) with x = cos
+    theta, s = sin theta floored at 1e-12, and the three (N, ell+1) rows
+    for ell >= 1.  The second derivative comes from differentiating the
+    first-derivative recurrence once more, which pulls in the degree
+    ell-2 row.  This is the one place the basis is differentiated:
+    ``_frame_jet2`` and the ring path ``_ring_jet2`` both read it.
     """
-    ell = coeffs.level.ell
     x = np.cos(theta)
     s = np.maximum(np.sin(theta), 1e-12)
-    rows = _legendre_rows(ell, x, depth=3)
-    p_l, p_lm1 = rows[0], rows[1]
-    p_lm2 = rows[2] if len(rows) > 2 else np.zeros_like(p_l)
+    p_l, p_lm1, p_lm2 = _legendre_rows(ell, x, depth=3)
     orders = np.arange(ell + 1, dtype=float)
-    r = coeffs.radius
-    a = coeffs.alpha
-    if ell == 0:
-        zero = np.zeros_like(x)
-        return r * a[0] * p_l[:, 0], zero, zero, zero, zero, zero
     e1 = np.sqrt(
         (2.0 * ell + 1.0) * np.clip(ell * ell - orders**2, 0.0, None)
         / (2.0 * ell - 1.0)
@@ -410,6 +435,39 @@ def _frame_jet2(
     dd_l = (
         -ell * s_col * p_l + ell * x_col * d_l - e1[None, :] * d_lm1
     ) / s_col - (x_col / s_col) * d_l
+    return x, s, p_l, d_l, dd_l
+
+
+def _frame_jet2(
+    coeffs: CoefficientVector, theta: np.ndarray, phi: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Value, frame gradient and covariant frame Hessian, all analytic.
+
+    Returns (value, g_theta, g_phi, h_tt, h_tp, h_pp) as flat arrays.  The
+    points are worked through in blocks of ``_JET_BLOCK``, which keeps the
+    Legendre buffers in cache; every point's arithmetic is independent of
+    the others, so the result does not depend on the blocks.
+    """
+    if theta.shape[0] <= _JET_BLOCK:
+        return _frame_jet2_block(coeffs, theta, phi)
+    blocks = [
+        _frame_jet2_block(coeffs, theta[i : i + _JET_BLOCK], phi[i : i + _JET_BLOCK])
+        for i in range(0, theta.shape[0], _JET_BLOCK)
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _frame_jet2_block(
+    coeffs: CoefficientVector, theta: np.ndarray, phi: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    ell = coeffs.level.ell
+    r = coeffs.radius
+    a = coeffs.alpha
+    if ell == 0:
+        zero = np.zeros_like(theta)
+        return np.full_like(theta, r * a[0]), zero, zero, zero, zero, zero
+    x, s, p_l, d_l, dd_l = _jet_rows(ell, theta)
+    orders = np.arange(ell + 1, dtype=float)
     ang = phi[:, None] * orders[None, 1:]
     cos_a, sin_a = np.cos(ang), np.sin(ang)
     ac, asn = a[1::2], a[2::2]
@@ -425,6 +483,65 @@ def _frame_jet2(
     h_tp = f_tp / s - (x / s) * g_p
     h_pp = f_pp / (s * s) + (x / s) * g_t
     return val, g_t, g_p, h_tt, h_tp, h_pp
+
+
+def _ring_jet_tables(
+    ell: int, thetas: np.ndarray, phis: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Tables of the jet on an iso-latitude product grid, for ell >= 1.
+
+    Returns cos theta and the floored sin theta over the rings, the jet
+    rows (P_bar, dP_bar/dtheta, d2P_bar/dtheta2) over the rings as one
+    (3, n_theta, ell+1) array, and the cosine lattices of orders 1..ell
+    over the longitudes stacked on the sine lattices, shape (2 ell, n_phi).
+    They depend only on the degree and the rings, so a caller that
+    evaluates many fields of one degree on one grid builds them once.
+    """
+    x, s, p_l, d_l, dd_l = _jet_rows(ell, thetas)
+    ang = np.arange(1, ell + 1)[:, None] * phis[None, :]
+    return x, s, np.stack([p_l, d_l, dd_l]), np.vstack([np.cos(ang), np.sin(ang)])
+
+
+def _ring_jet2(
+    coeffs: CoefficientVector, tables: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, ...]:
+    """``_frame_jet2`` at every point of an iso-latitude product grid.
+
+    ``tables`` come from ``_ring_jet_tables`` at the field's degree.  The
+    basis factorizes into the ring jet rows times the longitude lattices,
+    so the six outputs take one matrix product, as in ``evaluate_grid``.
+    They are flat in the grid's ring-major point order and agree with
+    ``_frame_jet2`` at the same points up to rounding, since the sums over
+    orders run in a different order.
+    """
+    x, s, jet, lattice = tables
+    ell = coeffs.level.ell
+    r, a = coeffs.radius, coeffs.alpha
+    ac, asn = a[1::2], a[2::2]
+    m = np.arange(1, ell + 1, dtype=float)
+    p, d, dd = jet[:, :, 1:]
+    # (rows, cosine weights, sine weights) of f, f_theta, f_theta_theta,
+    # f_phi, f_theta_phi and f_phi_phi, before the frame's 1/sin factors
+    terms = (
+        (p, ac, asn),
+        (d, ac, asn),
+        (dd, ac, asn),
+        (p, m * asn, -m * ac),
+        (d, m * asn, -m * ac),
+        (p, -m * m * ac, -m * m * asn),
+    )
+    left = np.stack([np.hstack([rows * wc, rows * ws]) for rows, wc, ws in terms])
+    sums = (left.reshape(-1, 2 * ell) @ lattice).reshape(6, x.shape[0], -1)
+    sums *= r * _SQRT2
+    zonal = r * a[0] * jet[:, :, :1]
+    val, g_t, h_tt = sums[:3] + zonal
+    f_p, f_tp, f_pp = sums[3:]
+    s_col = s[:, None]
+    cot = (x / s)[:, None]
+    g_p = f_p / s_col
+    h_tp = f_tp / s_col - cot * g_p
+    h_pp = f_pp / (s_col * s_col) + cot * g_t
+    return tuple(q.ravel() for q in (val, g_t, g_p, h_tt, h_tp, h_pp))
 
 
 def ambient_gradient(

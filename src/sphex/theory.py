@@ -362,7 +362,9 @@ def _int_args(fn: Callable) -> frozenset[str]:
 def evaluate_bound(name: str, **kwargs) -> BoundReport:
     """Evaluate a registered bound by name into a ``BoundReport``.
 
-    A bound returning a tuple reports its first entry.
+    ``kwargs`` must name every argument of the bound and no other; a
+    missing or an unexpected name raises ``ValueError`` naming it.  A
+    bound returning a tuple reports its first entry.
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown bound {name!r}; known: {sorted(REGISTRY)}")
@@ -371,7 +373,10 @@ def evaluate_bound(name: str, **kwargs) -> BoundReport:
     missing = [a for a in argnames if a not in kwargs]
     if missing:
         raise ValueError(f"{name} missing arguments: {missing}")
-    value = fn(**{k: kwargs[k] for k in argnames})
+    unexpected = [k for k in kwargs if k not in argnames]
+    if unexpected:
+        raise ValueError(f"{name} unexpected arguments: {unexpected}")
+    value = fn(**kwargs)
     flat = value[0] if isinstance(value, tuple) else value
     numeric_inputs = {
         k: v for k, v in kwargs.items() if isinstance(v, (int, float))

@@ -177,7 +177,9 @@ class TestTheoryPinned:
          "badset missing arguments: ['sigma_sq', 'c']"),
         ("no-such-bound", "x=1",
          f"unknown bound 'no-such-bound'; known: {KNOWN_BOUNDS}"),
-    ], ids=["float-for-int", "fractional-n", "missing-args", "unknown-name"])
+        ("mills", "z=1.3,zz=5", "mills unexpected arguments: ['zz']"),
+    ], ids=["float-for-int", "fractional-n", "missing-args", "unknown-name",
+            "unexpected-arg"])
     def test_errors(self, name, args, err, capsys):
         assert main(["theory", name, "--args", args]) == 2
         captured = capsys.readouterr()

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from sphex import excursion, harmonics
 from sphex.excursion import (
     CriticalPointSet,
     count_above,
@@ -315,6 +316,47 @@ class TestFindCriticalPointsGeneric:
         alpha[0] = 1.0
         with pytest.raises(ValueError):
             find_critical_points(CoefficientVector(lv3, alpha))
+
+
+class TestSeedRings:
+    @pytest.mark.parametrize("ell", [1, 2, 7, 24])
+    def test_ring_path_matches_pointwise_jet(self, ell):
+        # the first Newton iteration synthesizes the jet on the seed rings;
+        # it must agree with the pointwise jet at every seed, the first and
+        # last rings (largest 1/sin theta) included, to rounding scaled by
+        # the derivative order j of each output
+        (seed_t, seed_p), tables = excursion._seed_rings(ell)
+        thetas, phis = iso_latitude_grid(40 * ell * ell).rings
+        assert np.array_equal(seed_t, np.repeat(thetas, phis.size))
+        assert np.array_equal(seed_p, np.tile(phis, thetas.size))
+        for rep in range(2):
+            cv = sample_gaussian(HarmonicLevel(ell, 2), stream(23, rep, "rings"))
+            ring = harmonics._ring_jet2(cv, tables)
+            pointwise = harmonics._frame_jet2(cv, seed_t, seed_p)
+            for j, r_out, p_out in zip((0, 1, 1, 2, 2, 2), ring, pointwise):
+                assert r_out.shape == seed_t.shape
+                err = np.abs(r_out - p_out).reshape(thetas.size, phis.size)
+                tol = 1e-12 * cv.radius * ell**j
+                assert err[0].max() <= tol and err[-1].max() <= tol
+                assert err.max() <= tol
+
+    def test_seed_cache_follows_the_degree(self):
+        # the seed rings and their tables are kept for the last degree only;
+        # a degree sequence 8, 12, 8 must find what fresh searches find
+        def search(ell, rep):
+            cv = sample_gaussian(HarmonicLevel(ell, 2), stream(24, rep, "cache"))
+            cps = find_critical_points(cv)
+            return (
+                [p.position.coords.tolist() for p in cps.points],
+                [p.value for p in cps.points],
+                [p.kind for p in cps.points],
+                cps.rotation_attempts,
+            )
+
+        runs = [search(ell, rep) for rep, ell in enumerate((8, 12, 8))]
+        for rep, ell in enumerate((8, 12, 8)):
+            excursion._seed_rings.cache_clear()
+            assert runs[rep] == search(ell, rep)
 
 
 @pytest.fixture(scope="module")

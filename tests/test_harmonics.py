@@ -39,6 +39,7 @@ from sphex.harmonics import (
     write_coefficients_csv,
     ylm,
 )
+from sphex.harmonics import _frame_jet2, _legendre_rows
 from sphex.specfun import HarmonicLevel, gegenbauer
 from sphex.sphere_geom import SpherePoint, iso_latitude_grid
 
@@ -327,6 +328,76 @@ def fd_hessian(cv, t0: float, p0: float) -> np.ndarray:
     h_tp = 0.5 * (d_theta[1] + d_phi[0] / sin_t - cot_t * g_p)
     h_pp = d_phi[1] / sin_t + cot_t * g_t
     return np.array([[d_theta[0], h_tp], [h_tp, h_pp]])
+
+
+def legendre_rows_degree_major(ell: int, x: np.ndarray, depth: int) -> list:
+    """The degree-major (N, ell+1) recurrence, kept as an oracle.
+
+    ``harmonics._legendre_rows`` must reproduce it bit for bit: the same
+    floating-point operations per element, only the memory layout and the
+    buffers differ.
+    """
+    x = np.asarray(x, dtype=float)
+    n_pts = x.shape[0]
+    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    prev = np.zeros((n_pts, ell + 1))
+    prev[:, 0] = 1.0
+    if ell == 0:
+        return [prev] + [np.zeros((n_pts, 1)) for _ in range(depth - 1)]
+    cur = np.zeros((n_pts, ell + 1))
+    cur[:, 0] = math.sqrt(3.0) * x
+    cur[:, 1] = math.sqrt(1.5) * sx
+    prev2 = np.zeros((n_pts, ell + 1))
+    for n in range(2, ell + 1):
+        nn = float(n)
+        m = np.arange(0, n - 1, dtype=float)
+        a = np.sqrt((4.0 * nn * nn - 1.0) / (nn * nn - m * m))
+        b = np.sqrt(
+            ((2.0 * nn + 1.0) * ((nn - 1.0) ** 2 - m * m))
+            / ((2.0 * nn - 3.0) * (nn * nn - m * m))
+        )
+        nxt = prev2
+        nxt[:, : n - 1] = a * (x[:, None] * cur[:, : n - 1]) - b * prev[:, : n - 1]
+        nxt[:, n - 1] = math.sqrt(2.0 * nn + 1.0) * x * cur[:, n - 1]
+        nxt[:, n] = math.sqrt((2.0 * nn + 1.0) / (2.0 * nn)) * sx * cur[:, n - 1]
+        if n > 2:
+            nxt[:, n + 1 :] = 0.0
+        prev2, prev, cur = prev, cur, nxt
+    return [cur, prev, prev2][:depth]
+
+
+class TestLegendreKernel:
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3, 8, 24, 64, 256])
+    @pytest.mark.parametrize("n_pts", [1, 5, 2049])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_bit_identical_to_degree_major(self, ell, n_pts, depth):
+        rng = np.random.default_rng(1000 * ell + n_pts)
+        x = rng.uniform(-1.0, 1.0, n_pts)
+        x[: min(n_pts, 3)] = (1.0, -1.0, 0.0)[: min(n_pts, 3)]
+        got = _legendre_rows(ell, x, depth=depth)
+        want = legendre_rows_degree_major(ell, x, depth)
+        assert len(got) == depth
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (n_pts, ell + 1)
+            assert g.flags.c_contiguous
+            assert np.array_equal(g, w)
+
+    def test_jet_does_not_depend_on_blocks(self):
+        # 5000 points span three blocks; each point's jet must not depend
+        # on the block it lands in or on its neighbours
+        cv = sample_gaussian(HarmonicLevel(9, 2), stream(20, 2, "blocks"))
+        rng = np.random.default_rng(22)
+        theta = np.arccos(rng.uniform(-1.0, 1.0, 5000))
+        phi = rng.uniform(-math.pi, math.pi, 5000)
+        whole = _frame_jet2(cv, theta, phi)
+        backwards = _frame_jet2(cv, theta[::-1], phi[::-1])
+        for w, b in zip(whole, backwards):
+            assert w.shape == (5000,)
+            assert np.array_equal(w, b[::-1])
+        for i in (2047, 2048, 4999):
+            single = _frame_jet2(cv, theta[i : i + 1], phi[i : i + 1])
+            for w, one in zip(whole, single):
+                assert np.array_equal(w[i : i + 1], one)
 
 
 class TestJets:

@@ -758,3 +758,63 @@ class TestGridGolden:
                 blob = "\n".join(csv_lines_without_seconds(out / name)).encode()
             digests[name] = hashlib.sha256(blob).hexdigest()
         assert digests == self.GOLDEN
+
+
+class TestExceedanceGolden:
+    """Byte contract of the bad_set, nongaussian and ldp campaigns.
+
+    The record CSVs (minus the ``seconds`` column) and the JSON sidecars
+    of small campaigns are pinned by SHA-256, so a change to how a cell
+    counts exceedances, builds its rows or fills its Wilson intervals
+    shows here.  None of these kinds writes a rate CSV.  The digests are
+    the same with 1 or 2 BLAS threads.
+    """
+
+    GOLDEN = {
+        "bad_set.csv": (
+            "673c7442cd3c0581de690f9542b90d17b1596f0965c7614b605aab792a0539b0"
+        ),
+        "bad_set.json": (
+            "bd72c6088c39aa93994172c7f8e7e6bc3a96c2e0ff3a5ab61b176b2d2386e1c2"
+        ),
+        "nongaussian.csv": (
+            "148f516cd098207a9a8d5c1335448c3798a5cb393be92cbf79dd4c54e6893cdb"
+        ),
+        "nongaussian.json": (
+            "70e5005765a8776766a5e3ecbf6c0884ef3175854a9b7798537e50136c34d6db"
+        ),
+        "ldp.csv": (
+            "f829b2f3cd3ec29fb4775b2b944f5d7caaa0bcd60ddf7e78eb3a8049861f00e5"
+        ),
+        "ldp.json": (
+            "f6c597349203f4eb70195afc7688e49ef851646a954876498cb1b7209a0f2621"
+        ),
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        path = tmp_path / "golden.ini"
+        sections = {
+            "bad_set": "ell_list = 8, 12, 16\nu_list = -1.0, 0.0, 1.0\n",
+            "nongaussian": (
+                "model = student:5\n"
+                "ell_list = 8, 12, 16\nu_list = -1.0, 0.0, 1.0\n"
+            ),
+            "ldp": "n_list = 10, 20, 40\n",
+        }
+        path.write_text(
+            "".join(
+                f"[{kind}]\n{extra}seed = 2015\nreplicates = 30\n\n"
+                for kind, extra in sections.items()
+            )
+        )
+        out = tmp_path / "out"
+        written = run_config_file(str(path), str(out))
+        assert sorted(p.rsplit("/", 1)[1] for p in written) == sorted(self.GOLDEN)
+        digests = {}
+        for name in self.GOLDEN:
+            if name.endswith(".json"):
+                blob = (out / name).read_bytes()
+            else:
+                blob = "\n".join(csv_lines_without_seconds(out / name)).encode()
+            digests[name] = hashlib.sha256(blob).hexdigest()
+        assert digests == self.GOLDEN

@@ -22,6 +22,8 @@ sidecar carrying the config hash and estimated constants, and, for kinds
 with a power-law prediction, a ``rates.csv`` with the fitted slope.  The
 ``seconds`` column records measured wall time and is therefore the one
 column excluded from byte-identity comparisons between repeated runs.
+Each (kind, ell) cell also logs its replicate rate at INFO level on the
+``sphex`` logger; nothing else depends on it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import configparser
 import csv
 import hashlib
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -40,6 +43,8 @@ from scipy.stats import ks_2samp
 
 from . import theory
 from .excursion import (
+    CriticalPointSet,
+    count_above,
     excursion_volume,
     find_critical_points,
     kolmogorov_distance,
@@ -57,7 +62,7 @@ from .harmonics import (
     sample_unit_coefficients,
     stream,
 )
-from .specfun import HarmonicLevel, eigenspace_dim, gaussian
+from .specfun import CriticalKind, HarmonicLevel, eigenspace_dim, gaussian
 from .sphere_geom import SphereGrid, icosphere, iso_latitude_grid, quasi_uniform_grid
 
 __all__ = [
@@ -77,6 +82,8 @@ __all__ = [
     "KINDS",
 ]
 
+_log = logging.getLogger("sphex")
+
 KINDS = (
     "variance_scaling",
     "bad_set",
@@ -87,13 +94,6 @@ KINDS = (
     "epc",
     "critical_density",
 )
-
-_EXCEEDANCE_KINDS = {
-    "bad_set",
-    "kol_decay_exceedance",
-    "supnorm_tail",
-    "supnorm_lower",
-}
 
 
 @dataclass
@@ -282,29 +282,111 @@ def _frac_se(count: int, total: int) -> tuple[float, float]:
     return p, se
 
 
-def _sphere_grid(config: ExperimentConfig, ell: int, floor: int = 4) -> SphereGrid:
-    return iso_latitude_grid(max(floor, config.grid_density * ell * ell))
+def _sphere_grid(config: ExperimentConfig, ell: int) -> SphereGrid:
+    return iso_latitude_grid(max(4, config.grid_density * ell * ell))
 
 
-def _grid_replicates(
-    config: ExperimentConfig,
-    purpose: str,
-    grid: SphereGrid,
-    draw: Callable[[np.random.Generator], CoefficientVector],
-    functional: Callable[[CoefficientVector, tuple], object],
-) -> np.ndarray:
-    """The replicate loop of one grid cell, one result row per replicate.
+def _replicates(seed: int, count: int, purpose: str,
+                measure: Callable[[np.random.Generator], object]) -> list:
+    """``measure(stream(seed, rep, purpose))`` for each replicate ``rep``.
 
-    Replicate ``rep`` draws its field with ``draw`` from
-    ``stream(seed, rep, purpose)``, evaluates it on ``grid`` and passes the
-    coefficients and the (values, weights) sample to ``functional``.
+    This is the replicate loop of every campaign, so what a replicate draws
+    never depends on anything else the run does.
     """
-    rows = []
-    for rep in range(config.replicates):
-        coeffs = draw(stream(config.seed, rep, purpose))
-        sample = (evaluate_grid(coeffs, grid), grid.weights)
-        rows.append(functional(coeffs, sample))
-    return np.array(rows)
+    return [measure(stream(seed, rep, purpose)) for rep in range(count)]
+
+
+def _critical_replicates(
+    seed: int, count: int, purpose: str, level: HarmonicLevel
+) -> tuple[list[tuple[CoefficientVector, CriticalPointSet]], int]:
+    """The (coefficients, critical set) pairs of Gaussian replicates whose
+    set is not degenerate, and the number of degenerate replicates."""
+
+    def measure(rng: np.random.Generator) -> tuple:
+        coeffs = sample_gaussian(level, rng)
+        return coeffs, find_critical_points(coeffs)
+
+    fields = _replicates(seed, count, purpose, measure)
+    sound = [(coeffs, cps) for coeffs, cps in fields if not cps.degenerate_flag]
+    return sound, len(fields) - len(sound)
+
+
+class _Cell:
+    """One (kind, ell) cell of a campaign's record: its level, clock, counts
+    and rows.
+
+    The clock runs from construction until ``stop`` or the first row.  Its
+    reading fills the ``seconds`` column and, with the replicate rate, one
+    INFO line on the ``sphex`` logger.  ldp has no sphere: its cells are
+    keyed by n, which its rows store in the ell column with d = 0.
+    """
+
+    def __init__(self, record: ExperimentRecord, ell: int):
+        config = record.config
+        sphere = config.kind != "ldp"
+        self.config = config
+        self.ell = ell
+        self.dim = config.dim if sphere else 0
+        self.level = HarmonicLevel(ell, config.dim) if sphere else None
+        self.name = f"{config.kind} {'ell' if sphere else 'n'}={ell}"
+        self.degenerate = 0
+        self.seconds: Optional[float] = None
+        self._rows = record.rows
+        self._t0 = time.perf_counter()
+
+    def replicates(self, purpose: str,
+                   measure: Callable[[np.random.Generator], object]) -> np.ndarray:
+        config = self.config
+        return np.array(_replicates(config.seed, config.replicates, purpose, measure))
+
+    def on_grid(self, purpose: str, grid: SphereGrid,
+                draw: Callable[[HarmonicLevel, np.random.Generator], CoefficientVector],
+                functional: Callable[[CoefficientVector, tuple], object]) -> np.ndarray:
+        """Replicates that draw a field, evaluate it on ``grid`` and pass the
+        coefficients and the (values, weights) sample to ``functional``."""
+
+        def measure(rng: np.random.Generator) -> object:
+            coeffs = draw(self.level, rng)
+            return functional(coeffs, (evaluate_grid(coeffs, grid), grid.weights))
+
+        return self.replicates(purpose, measure)
+
+    def critical_sets(self) -> list[CriticalPointSet]:
+        """Critical sets of the cell's Gaussian fields, degenerate ones left out."""
+        kind, replicates = self.config.kind, self.config.replicates
+        sound, self.degenerate = _critical_replicates(
+            self.config.seed, replicates, f"{kind}:ell={self.ell}", self.level
+        )
+        if self.degenerate > 0.2 * replicates:
+            raise RuntimeError(
+                f"{kind}: {self.degenerate}/{replicates} replicates degenerate at "
+                f"ell={self.ell}; geometry is unreliable at this seeding density"
+            )
+        return [cps for _, cps in sound]
+
+    def stop(self) -> None:
+        if self.seconds is None:
+            self.seconds = time.perf_counter() - self._t0
+            count = self.config.replicates
+            _log.info("%s: %d replicates in %.3f s (%.1f replicates/s)", self.name,
+                      count, self.seconds, count / max(self.seconds, 1e-9))
+
+    def row(self, kind: str, u: Optional[float], epsilon: Optional[float],
+            estimate: float, stderr: float, theory_value: Optional[float]) -> None:
+        self.stop()
+        self._rows.append(RecordRow(
+            kind, self.dim, self.ell, u, epsilon, estimate, stderr,
+            theory_value, self.config.replicates, self.degenerate, self.seconds,
+        ))
+
+    def exceedance(self, kind: str, u: Optional[float], threshold: float,
+                   exceeds: np.ndarray, theory_value: Optional[float]
+                   ) -> tuple[float, float]:
+        """Row of the fraction flagged in ``exceeds``; returns its Wilson interval."""
+        count = int(np.count_nonzero(exceeds))
+        self.row(kind, u, threshold, *_frac_se(count, self.config.replicates),
+                 theory_value)
+        return wilson_interval(count, self.config.replicates)
 
 
 # ---------------------------------------------------------------------------
@@ -312,52 +394,28 @@ def _grid_replicates(
 # ---------------------------------------------------------------------------
 
 
-def _run_variance_scaling(config: ExperimentConfig) -> ExperimentRecord:
-    rows: list[RecordRow] = []
-    constants: dict = {}
-    rate_points: list[tuple[float, float]] = []
+def _run_variance_scaling(record: ExperimentRecord) -> None:
+    config = record.config
     u_arr = list(config.u_list)
     for ell in config.ell_list:
-        t0 = time.perf_counter()
-        level = HarmonicLevel(ell, config.dim)
-        vols = _grid_replicates(
-            config, f"variance_scaling:ell={ell}", _sphere_grid(config, ell),
-            lambda rng: sample_gaussian(level, rng),
+        cell = _Cell(record, ell)
+        vols = cell.on_grid(
+            f"variance_scaling:ell={ell}", _sphere_grid(config, ell), sample_gaussian,
             lambda coeffs, sample: excursion_volume(sample, u_arr),
         )
-        elapsed = time.perf_counter() - t0
         per_u_var = []
         for j, u in enumerate(u_arr):
             mean, mean_se = _mean_se(vols[:, j])
             var, var_se = _var_se(vols[:, j])
             per_u_var.append(var)
-            rows.append(RecordRow(
-                "variance_scaling", config.dim, ell, u, None,
-                var, var_se, None, config.replicates, 0, elapsed,
-            ))
-            rows.append(RecordRow(
-                "variance_scaling_mean", config.dim, ell, u, None,
-                mean, mean_se, theory.excursion_mean_limit(u),
-                config.replicates, 0, elapsed,
-            ))
-        rate_points.append((float(level.n), max(per_u_var)))
-    fit = fit_rate(rate_points) if len(rate_points) >= 3 else None
-    if fit is not None:
-        constants["variance_slope"] = fit.slope
-        constants["variance_r_squared"] = fit.r_squared
-    return ExperimentRecord(config, config.config_hash(), rows, constants,
-                            rate_points, fit)
-
-
-def _pilot_statistics(config: ExperimentConfig, level: HarmonicLevel,
-                      grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-ensemble pilot mean and variance of the volume functional."""
-    vols = _grid_replicates(
-        config, f"bad_set.pilot:ell={level.ell}", grid,
-        lambda rng: sample_gaussian(level, rng),
-        lambda coeffs, sample: excursion_volume(sample, config.u_list),
-    )
-    return vols.mean(axis=0), vols.var(axis=0, ddof=1)
+            cell.row("variance_scaling", u, None, var, var_se, None)
+            cell.row("variance_scaling_mean", u, None, mean, mean_se,
+                     theory.excursion_mean_limit(u))
+        record.rate_points.append((float(cell.level.n), max(per_u_var)))
+    if len(record.rate_points) >= 3:
+        record.fit = fit_rate(record.rate_points)
+        record.constants["variance_slope"] = record.fit.slope
+        record.constants["variance_r_squared"] = record.fit.r_squared
 
 
 def _fit_regularity_constant(u_list: Sequence[float], psi: np.ndarray) -> float:
@@ -377,16 +435,20 @@ def _fit_regularity_constant(u_list: Sequence[float], psi: np.ndarray) -> float:
     return max(c, 0.05)
 
 
-def _run_bad_set(config: ExperimentConfig) -> ExperimentRecord:
-    rows: list[RecordRow] = []
-    constants: dict = {"per_ell": {}}
+def _run_bad_set(record: ExperimentRecord) -> None:
+    config = record.config
+    per_ell = record.constants["per_ell"] = {}
     u_arr = list(config.u_list)
     eps_ceiling = 1.0 - 1e-9
     for ell in config.ell_list:
-        t0 = time.perf_counter()
-        level = HarmonicLevel(ell, config.dim)
+        cell = _Cell(record, ell)
         grid = _sphere_grid(config, ell)
-        psi_hat, var_hat = _pilot_statistics(config, level, grid)
+        # Gaussian-ensemble pilot mean and variance of the volume functional
+        pilot = cell.on_grid(
+            f"bad_set.pilot:ell={ell}", grid, sample_gaussian,
+            lambda coeffs, sample: excursion_volume(sample, u_arr),
+        )
+        psi_hat, var_hat = pilot.mean(axis=0), pilot.var(axis=0, ddof=1)
         sigma_sq_sup = float(np.max(var_hat))
         c_hat = _fit_regularity_constant(u_arr, psi_hat)
         center = (
@@ -394,13 +456,11 @@ def _run_bad_set(config: ExperimentConfig) -> ExperimentRecord:
             if config.centering == "pilot"
             else np.array([theory.excursion_mean_limit(u) for u in u_arr])
         )
-        devs = _grid_replicates(
-            config, f"bad_set.main:ell={ell}", grid,
-            lambda rng: sample_unit_coefficients(level, rng),
+        devs = cell.on_grid(
+            f"bad_set.main:ell={ell}", grid, sample_unit_coefficients,
             lambda coeffs, sample: np.abs(excursion_volume(sample, u_arr) - center),
         )
-        elapsed = time.perf_counter() - t0
-        n = level.n
+        n = cell.level.n
         eps_base = config.epsilon_base(n)
         local_bounds = {}
         sigma_interp = _variance_interpolant(u_arr, var_hat)
@@ -410,20 +470,15 @@ def _run_bad_set(config: ExperimentConfig) -> ExperimentRecord:
                 # the functional is [0, 1]-valued, so the bound's domain
                 # caps usable epsilon just below 1
                 eps = min(max(mult * eps_base, 1e-12), eps_ceiling)
-                count = int(np.count_nonzero(devs[:, j] > eps))
-                frac, se = _frac_se(count, config.replicates)
-                bound = theory.bad_set_bound(eps, n, sigma_sq_sup, c_hat)
-                rows.append(RecordRow(
-                    "bad_set", config.dim, ell, u, eps,
-                    frac, se, bound, config.replicates, 0, elapsed,
-                ))
-                wilson[f"u={u:g},eps={eps:.6g}"] = wilson_interval(
-                    count, config.replicates
+                key = f"u={u:g},eps={eps:.6g}"
+                wilson[key] = cell.exceedance(
+                    "bad_set", u, eps, devs[:, j] > eps,
+                    theory.bad_set_bound(eps, n, sigma_sq_sup, c_hat),
                 )
-                local_bounds[f"u={u:g},eps={eps:.6g}"] = theory.bad_set_bound_local(
+                local_bounds[key] = theory.bad_set_bound_local(
                     eps, n, sigma_interp, c_hat, u
                 )
-        constants["per_ell"][str(ell)] = {
+        per_ell[str(ell)] = {
             "c_hat": c_hat,
             "sigma_sq_sup": sigma_sq_sup,
             "pilot_mean": dict(zip(map(str, u_arr), psi_hat.tolist())),
@@ -437,7 +492,6 @@ def _run_bad_set(config: ExperimentConfig) -> ExperimentRecord:
                 ) > 1.0
             ),
         }
-    return ExperimentRecord(config, config.config_hash(), rows, constants)
 
 
 def _variance_interpolant(u_list: Sequence[float],
@@ -452,130 +506,89 @@ def _variance_interpolant(u_list: Sequence[float],
     return sigma_sq_at
 
 
-def _run_kol_decay(config: ExperimentConfig) -> ExperimentRecord:
-    rows: list[RecordRow] = []
-    constants: dict = {"per_ell": {}}
-    rate_points: list[tuple[float, float]] = []
+def _run_kol_decay(record: ExperimentRecord) -> None:
+    config = record.config
+    per_ell = record.constants["per_ell"] = {}
     rate_ell, _ = theory.kolmogorov_rate_exponents(config.ell_list[0], config.dim)
     for ell in config.ell_list:
-        t0 = time.perf_counter()
-        level = HarmonicLevel(ell, config.dim)
+        cell = _Cell(record, ell)
+        entry = per_ell[str(ell)] = {}
+        purpose = f"kol_decay:ell={ell}"
         if config.dim == 2:
-            dists = _grid_replicates(
-                config, f"kol_decay:ell={ell}", _sphere_grid(config, ell),
-                lambda rng: sample_gaussian(level, rng),
+            dists = cell.on_grid(
+                purpose, _sphere_grid(config, ell), sample_gaussian,
                 lambda coeffs, sample: kolmogorov_distance(sample),
             )
         else:
             n_pts = min(config.grid_density * ell**config.dim, config.grid_cap)
-            sim = GramSimulator(level, quasi_uniform_grid(config.dim, n_pts))
-            dists = np.empty(config.replicates)
-            for rep in range(config.replicates):
-                rng = stream(config.seed, rep, f"kol_decay:ell={ell}")
-                dists[rep] = kolmogorov_distance(sim.sample(rng))
-            constants["per_ell"].setdefault(str(ell), {})["jitter"] = sim.jitter
-        elapsed = time.perf_counter() - t0
+            sim = GramSimulator(cell.level, quasi_uniform_grid(config.dim, n_pts))
+            dists = cell.replicates(
+                purpose, lambda rng: kolmogorov_distance(sim.sample(rng))
+            )
+            entry["jitter"] = sim.jitter
         mean, se = _mean_se(dists)
-        rows.append(RecordRow(
-            "kol_decay", config.dim, ell, None, None,
-            mean, se, float(ell) ** (-rate_ell),
-            config.replicates, 0, elapsed,
-        ))
-        n = level.n
+        cell.row("kol_decay", None, None, mean, se, float(ell) ** (-rate_ell))
+        n = cell.level.n
         eps_base = config.epsilon_base(n)
-        wilson = {}
+        wilson = entry["wilson_intervals"] = {}
         for mult in config.epsilon_sweep:
             eps = mult * eps_base
-            count = int(np.count_nonzero(dists > eps))
-            frac, se = _frac_se(count, config.replicates)
-            rows.append(RecordRow(
-                "kol_decay_exceedance", config.dim, ell, None, eps,
-                frac, se, theory.kolmogorov_measure_bound(n, eps, 1.0),
-                config.replicates, 0, elapsed,
-            ))
-            wilson[f"eps={eps:.6g}"] = wilson_interval(count, config.replicates)
-        entry = constants["per_ell"].setdefault(str(ell), {})
-        entry["wilson_intervals"] = wilson
-        rate_points.append((float(ell), mean))
-    fit = fit_rate(rate_points) if len(rate_points) >= 3 else None
-    if fit is not None:
-        constants["kol_slope"] = fit.slope
-        constants["theory_exponent"] = -rate_ell
-    record = ExperimentRecord(config, config.config_hash(), rows, constants,
-                              rate_points, fit)
-    constants.update(estimate_constants([record]))
-    return record
+            wilson[f"eps={eps:.6g}"] = cell.exceedance(
+                "kol_decay_exceedance", None, eps, dists > eps,
+                theory.kolmogorov_measure_bound(n, eps, 1.0),
+            )
+        record.rate_points.append((float(ell), mean))
+    if len(record.rate_points) >= 3:
+        record.fit = fit_rate(record.rate_points)
+        record.constants["kol_slope"] = record.fit.slope
+        record.constants["theory_exponent"] = -rate_ell
+    record.constants.update(estimate_constants([record]))
 
 
-def _run_supnorm(config: ExperimentConfig) -> ExperimentRecord:
-    rows: list[RecordRow] = []
-    constants: dict = {"per_ell": {}}
-    rate_points: list[tuple[float, float]] = []
+def _run_supnorm(record: ExperimentRecord) -> None:
+    config = record.config
+    constants = record.constants
+    constants["per_ell"] = {}
     beta = 1.0
     k_max, _ = theory.sup_norm_lower_params(0.0, config.dim)
     k_lower = 0.9 * k_max
-    sups_by_ell: dict[int, np.ndarray] = {}
-    radii_by_ell: dict[int, np.ndarray] = {}
-    timing: dict[int, float] = {}
+    cells = []
     for ell in config.ell_list:
-        t0 = time.perf_counter()
-        level = HarmonicLevel(ell, config.dim)
+        cell = _Cell(record, ell)
         grid = iso_latitude_grid(max(40, config.grid_density) * ell * ell)
-        sups = np.empty(config.replicates)
-        radii = np.empty(config.replicates)
-        for rep in range(config.replicates):
-            rng = stream(config.seed, rep, f"supnorm:ell={ell}")
-            coeffs = sample_gaussian(level, rng)
-            sups[rep], _ = sup_norm(coeffs, grid=grid)
-            radii[rep] = coeffs.radius
-        sups_by_ell[ell] = sups
-        radii_by_ell[ell] = radii
-        timing[ell] = time.perf_counter() - t0
+
+        def sup_and_radius(rng: np.random.Generator) -> tuple[float, float]:
+            coeffs = sample_gaussian(cell.level, rng)
+            return sup_norm(coeffs, grid=grid)[0], coeffs.radius
+
+        sups, radii = cell.replicates(f"supnorm:ell={ell}", sup_and_radius).T
+        cell.stop()
+        cells.append((cell, sups, sups / radii))
     # two-pass: the tail threshold uses the run's own estimated constant
-    m_hat = -math.inf
-    m_hat_ell = config.ell_list[0]
-    for ell in config.ell_list:
-        mean = float(np.mean(sups_by_ell[ell]))
-        ratio = mean / math.sqrt(math.log(ell))
-        if ratio > m_hat:
-            m_hat, m_hat_ell = ratio, ell
-    for ell in config.ell_list:
-        sups = sups_by_ell[ell]
-        sups_h = sups / radii_by_ell[ell]
+    ratios = [float(np.mean(s)) / math.sqrt(math.log(c.ell)) for c, s, _ in cells]
+    m_hat = max(ratios)
+    for (cell, sups, sups_h), ratio in zip(cells, ratios):
+        ell = cell.ell
         mean, se = _mean_se(sups)
-        rows.append(RecordRow(
-            "supnorm", config.dim, ell, None, None,
-            mean, se, None, config.replicates, 0, timing[ell],
-        ))
+        cell.row("supnorm", None, None, mean, se, None)
         threshold, tail_bound = theory.sup_norm_tail_bound(m_hat, beta, ell)
-        count = int(np.count_nonzero(sups >= threshold))
-        frac, fse = _frac_se(count, config.replicates)
-        rows.append(RecordRow(
-            "supnorm_tail", config.dim, ell, None, threshold,
-            frac, fse, tail_bound, config.replicates, 0, timing[ell],
-        ))
+        tail = cell.exceedance("supnorm_tail", None, threshold,
+                               sups >= threshold, tail_bound)
         low_threshold = k_lower * math.sqrt(math.log(ell))
-        lcount = int(np.count_nonzero(sups_h < low_threshold))
-        lfrac, lse = _frac_se(lcount, config.replicates)
-        rows.append(RecordRow(
-            "supnorm_lower", config.dim, ell, None, low_threshold,
-            lfrac, lse, None, config.replicates, 0, timing[ell],
-        ))
+        lower = cell.exceedance("supnorm_lower", None, low_threshold,
+                                sups_h < low_threshold, None)
         constants["per_ell"][str(ell)] = {
-            "mean_over_sqrt_log": float(np.mean(sups)) / math.sqrt(math.log(ell)),
-            "tail_wilson": wilson_interval(count, config.replicates),
-            "lower_wilson": wilson_interval(lcount, config.replicates),
+            "mean_over_sqrt_log": ratio,
+            "tail_wilson": tail,
+            "lower_wilson": lower,
         }
-        rate_points.append((float(ell), mean))
+        record.rate_points.append((float(ell), mean))
     constants["M_hat"] = m_hat
-    constants["M_hat_ell"] = m_hat_ell
+    constants["M_hat_ell"] = config.ell_list[ratios.index(m_hat)]
     constants["K_lower"] = k_lower
-    record = ExperimentRecord(config, config.config_hash(), rows, constants,
-                              rate_points, None)
-    return record
 
 
-def _run_ldp(config: ExperimentConfig) -> ExperimentRecord:
+def _run_ldp(record: ExperimentRecord) -> None:
     """Importance-sampled chi-square tail rates.
 
     The target events have probabilities down to ~1e-10 at the largest n,
@@ -585,14 +598,15 @@ def _run_ldp(config: ExperimentConfig) -> ExperimentRecord:
     reweights; the estimator is unbiased for P(R^2 >= a) and its rate
     -log(P)/n concentrates tightly around the finite-n exact rate.
     """
-    rows: list[RecordRow] = []
-    constants: dict = {"per_n": {}}
+    config = record.config
+    constants = record.constants
+    constants["per_n"] = {}
     a = config.a
     theta = (1.0 - 1.0 / a) / 2.0
     lam_star = theory.cramer_transform(a)
     assert config.n_list is not None
     for n in config.n_list:
-        t0 = time.perf_counter()
+        cell = _Cell(record, n)
         rng = stream(config.seed, 0, f"ldp:n={n}")
         x = rng.gamma(n / 2.0, 2.0 * a, size=config.replicates)
         logw = (n / 2.0) * math.log(a) - theta * x
@@ -601,11 +615,7 @@ def _run_ldp(config: ExperimentConfig) -> ExperimentRecord:
         p_se = float(np.std(w, ddof=1) / math.sqrt(config.replicates))
         rate = -math.log(p_hat) / n
         rate_se = p_se / (p_hat * n)
-        elapsed = time.perf_counter() - t0
-        rows.append(RecordRow(
-            "ldp", 0, n, a, None, rate, rate_se, lam_star,
-            config.replicates, 0, elapsed,
-        ))
+        cell.row("ldp", a, None, rate, rate_se, lam_star)
         upper, exact = theory.chi_square_tail_rate(a, n)
         constants["per_n"][str(n)] = {
             "p_hat": p_hat,
@@ -616,56 +626,45 @@ def _run_ldp(config: ExperimentConfig) -> ExperimentRecord:
         }
     constants["lambda_star"] = lam_star
     constants["theta_tilt"] = theta
-    return ExperimentRecord(config, config.config_hash(), rows, constants)
 
 
-def _run_nongaussian(config: ExperimentConfig) -> ExperimentRecord:
+def _run_nongaussian(record: ExperimentRecord) -> None:
+    config = record.config
     assert config.model is not None
     model = NonGaussianModel.parse(config.model)
-    rows: list[RecordRow] = []
-    constants: dict = {"per_ell": {}}
+    per_ell = record.constants["per_ell"] = {}
     u_arr = np.asarray(config.u_list, dtype=float)
     for ell in config.ell_list:
-        t0 = time.perf_counter()
-        level = HarmonicLevel(ell, config.dim)
+        cell = _Cell(record, ell)
         grid = _sphere_grid(config, ell)
         # model and baseline share one stream per replicate (matched runs):
         # the baseline consumes the same draws the model's Gaussian core
         # does, so a unit perturbation reproduces the baseline exactly and
         # genuine perturbations are compared pairwise on common noise
         purpose = f"nongaussian:ell={ell}"
-        dev_model = _grid_replicates(
-            config, purpose, grid,
-            lambda rng: sample_nongaussian(model, level, rng)[0],
+        dev_model = cell.on_grid(
+            purpose, grid,
+            lambda level, rng: sample_nongaussian(model, level, rng)[0],
             lambda coeffs, sample: _max_deviation(
                 sample, u_arr, math.sqrt(coeffs.sample_power)
             ),
         )
-        dev_base = _grid_replicates(
-            config, purpose, grid,
-            lambda rng: sample_gaussian(level, rng),
+        dev_base = cell.on_grid(
+            purpose, grid, sample_gaussian,
             lambda coeffs, sample: _max_deviation(sample, u_arr, coeffs.radius),
         )
-        elapsed = time.perf_counter() - t0
         m_mean, m_se = _mean_se(dev_model)
         b_mean, b_se = _mean_se(dev_base)
-        rows.append(RecordRow(
-            "nongaussian", config.dim, ell, None, None,
-            m_mean, m_se, None, config.replicates, 0, elapsed,
-        ))
-        rows.append(RecordRow(
-            "nongaussian_baseline", config.dim, ell, None, None,
-            b_mean, b_se, None, config.replicates, 0, elapsed,
-        ))
+        cell.row("nongaussian", None, None, m_mean, m_se, None)
+        cell.row("nongaussian_baseline", None, None, b_mean, b_se, None)
         q95 = float(np.quantile(dev_base, 0.95))
         ks = ks_2samp(dev_model, dev_base)
-        constants["per_ell"][str(ell)] = {
+        per_ell[str(ell)] = {
             "baseline_q95": q95,
             "frac_model_within_q95": float(np.mean(dev_model <= q95)),
             "ks_stat": float(ks.statistic),
             "ks_pvalue": float(ks.pvalue),
         }
-    return ExperimentRecord(config, config.config_hash(), rows, constants)
 
 
 def _max_deviation(sample: tuple, u_arr: np.ndarray, scale: float) -> float:
@@ -674,55 +673,23 @@ def _max_deviation(sample: tuple, u_arr: np.ndarray, scale: float) -> float:
     return float(np.max(np.abs(excursion_volume(sample, u_arr) - target)))
 
 
-def _critical_point_campaign(config: ExperimentConfig, ell: int, purpose: str):
-    """Shared replicate loop for the epc / critical_density kinds."""
-    level = HarmonicLevel(ell, config.dim)
-    sets = []
-    degenerate = 0
-    for rep in range(config.replicates):
-        rng = stream(config.seed, rep, f"{purpose}:ell={ell}")
-        coeffs = sample_gaussian(level, rng)
-        cps = find_critical_points(coeffs)
-        if cps.degenerate_flag:
-            degenerate += 1
-            continue
-        sets.append(cps)
-    if degenerate > 0.2 * config.replicates:
-        raise RuntimeError(
-            f"{purpose}: {degenerate}/{config.replicates} replicates "
-            f"degenerate at ell={ell}; geometry is unreliable at this "
-            "seeding density"
-        )
-    return sets, degenerate
-
-
-def _run_epc(config: ExperimentConfig) -> ExperimentRecord:
-    from .excursion import count_above  # local import to avoid cycle noise
-
-    rows: list[RecordRow] = []
-    constants: dict = {"per_ell": {}, "exact_check_failures": 0}
+def _run_epc(record: ExperimentRecord) -> None:
+    config = record.config
+    constants = record.constants
+    constants.update(per_ell={}, exact_check_failures=0)
     for ell in config.ell_list:
-        t0 = time.perf_counter()
-        sets, degenerate = _critical_point_campaign(config, ell, "epc")
-        failures = 0
+        cell = _Cell(record, ell)
+        sets = cell.critical_sets()
         for cps in sets:
             top = max(p.value for p in cps.points)
             if euler_characteristic_morse(cps, -40.0) != 2:
-                failures += 1
+                constants["exact_check_failures"] += 1
             if euler_characteristic_morse(cps, top + 1.0) != 0:
-                failures += 1
-        constants["exact_check_failures"] += failures
-        elapsed = time.perf_counter() - t0
+                constants["exact_check_failures"] += 1
         for u in config.u_list:
-            chis = np.array(
-                [euler_characteristic_morse(cps, u) / ell**2 for cps in sets]
-            )
-            mean, se = _mean_se(chis)
-            rows.append(RecordRow(
-                "epc", config.dim, ell, u, None,
-                mean, se, theory.epc_limit(u),
-                config.replicates, degenerate, elapsed,
-            ))
+            chis = [euler_characteristic_morse(cps, u) / ell**2 for cps in sets]
+            mean, se = _mean_se(np.array(chis))
+            cell.row("epc", u, None, mean, se, theory.epc_limit(u))
         constants["per_ell"][str(ell)] = {
             "gkf_reference": {
                 str(u): theory.gkf_epc_expectation(ell, u) for u in config.u_list
@@ -731,39 +698,28 @@ def _run_epc(config: ExperimentConfig) -> ExperimentRecord:
                 np.mean([count_above(cps) for cps in sets])
             ),
         }
-    return ExperimentRecord(config, config.config_hash(), rows, constants)
 
 
-def _run_critical_density(config: ExperimentConfig) -> ExperimentRecord:
-    from .excursion import count_above
-    from .specfun import CriticalKind
-
+def _run_critical_density(record: ExperimentRecord) -> None:
+    config = record.config
     kind_map = (
         ("critical_density_c", CriticalKind.CRITICAL),
         ("critical_density_e", CriticalKind.EXTREMUM),
         ("critical_density_s", CriticalKind.SADDLE),
     )
-    rows: list[RecordRow] = []
-    constants: dict = {"per_ell": {}}
+    per_ell = record.constants["per_ell"] = {}
     for ell in config.ell_list:
-        t0 = time.perf_counter()
-        sets, degenerate = _critical_point_campaign(config, ell, "critical_density")
-        elapsed = time.perf_counter() - t0
+        cell = _Cell(record, ell)
+        sets = cell.critical_sets()
         for label, ckind in kind_map:
             for u in config.u_list:
-                counts = np.array(
-                    [count_above(cps, u, ckind) / ell**2 for cps in sets]
-                )
-                mean, se = _mean_se(counts)
-                rows.append(RecordRow(
-                    label, config.dim, ell, u, None,
-                    mean, se, theory.critical_count_limit(ckind, u),
-                    config.replicates, degenerate, elapsed,
-                ))
-        constants["per_ell"][str(ell)] = {
-            "degenerate_fraction": degenerate / config.replicates,
+                counts = [count_above(cps, u, ckind) / ell**2 for cps in sets]
+                mean, se = _mean_se(np.array(counts))
+                cell.row(label, u, None, mean, se,
+                         theory.critical_count_limit(ckind, u))
+        per_ell[str(ell)] = {
+            "degenerate_fraction": cell.degenerate / config.replicates,
         }
-    return ExperimentRecord(config, config.config_hash(), rows, constants)
 
 
 _RUNNERS = {
@@ -780,7 +736,9 @@ _RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Run one campaign and return its record (rows, constants, rate fit)."""
-    return _RUNNERS[config.kind](config)
+    record = ExperimentRecord(config, config.config_hash(), [], {})
+    _RUNNERS[config.kind](record)
+    return record
 
 
 def mesh_agreement(
@@ -796,24 +754,16 @@ def mesh_agreement(
     vertex-threshold route on an icosphere.  Degenerate samples are
     excluded and reported.
     """
-    level = HarmonicLevel(ell, 2)
     mesh = icosphere(subdivision)
-    agree = 0
-    total = 0
-    degenerate = 0
-    for rep in range(samples):
-        rng = stream(seed, rep, f"mesh_agreement:ell={ell}")
-        coeffs = sample_gaussian(level, rng)
-        cps = find_critical_points(coeffs)
-        if cps.degenerate_flag:
-            degenerate += 1
-            continue
-        for u in u_list:
-            total += 1
-            chi_morse = euler_characteristic_morse(cps, u)
-            chi_mesh = euler_characteristic_mesh(coeffs, mesh, u)
-            if chi_morse == chi_mesh:
-                agree += 1
+    sound, degenerate = _critical_replicates(
+        seed, samples, f"mesh_agreement:ell={ell}", HarmonicLevel(ell, 2)
+    )
+    agree = sum(
+        euler_characteristic_morse(cps, u) == euler_characteristic_mesh(coeffs, mesh, u)
+        for coeffs, cps in sound
+        for u in u_list
+    )
+    total = len(sound) * len(u_list)
     return {
         "agreement": agree / total if total else 0.0,
         "cells": total,

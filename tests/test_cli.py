@@ -375,23 +375,51 @@ class TestEnvironment:
 
 
 class TestStderrContract:
-    def test_verbose_logs_to_stderr_only(self, tmp_path):
+    @staticmethod
+    def _cli(*argv):
         # subprocess: logging.basicConfig binds per process; the child
         # imports the same sphex package as this process
         package_root = os.path.dirname(os.path.dirname(sphex.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        quiet = subprocess.run(
-            [sys.executable, "-m", "sphex.cli", "sample", "--ell", "3",
-             "--seed", "4"],
-            capture_output=True, text=True, env=env,
-        )
-        loud = subprocess.run(
-            [sys.executable, "-m", "sphex.cli", "--verbose", "sample",
-             "--ell", "3", "--seed", "4"],
-            capture_output=True, text=True, env=env,
-        )
+        return subprocess.run([sys.executable, "-m", "sphex.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    def test_verbose_logs_to_stderr_only(self, tmp_path):
+        quiet = self._cli("sample", "--ell", "3", "--seed", "4")
+        loud = self._cli("--verbose", "sample", "--ell", "3", "--seed", "4")
         assert quiet.returncode == 0 and loud.returncode == 0
         assert quiet.stdout == loud.stdout  # data channel unaffected
         assert quiet.stderr == ""
         assert "sampled ell=3" in loud.stderr
+
+    def test_verbose_experiment_logs_each_cell(self, tmp_path):
+        ini = tmp_path / "cells.ini"
+        ini.write_text(
+            "[kol_decay]\nell_list = 2, 3, 4\ngrid_density = 8\n"
+            "seed = 5\nreplicates = 30\n\n"
+            "[ldp]\nn_list = 10, 20\nseed = 5\nreplicates = 30\n"
+        )
+        out = tmp_path / "out"
+
+        def outputs():
+            return {
+                p.name: [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
+                if p.name in ("kol_decay.csv", "ldp.csv") else p.read_text()
+                for p in sorted(out.iterdir())
+            }
+
+        quiet = self._cli("experiment", "run", str(ini), "--out", str(out))
+        files = outputs()
+        loud = self._cli("--verbose", "experiment", "run", str(ini),
+                         "--out", str(out))
+        assert quiet.returncode == 0 and loud.returncode == 0
+        assert quiet.stdout == loud.stdout and quiet.stderr == ""
+        assert outputs() == files  # equal apart from the seconds column
+        cells = [line for line in loud.stderr.splitlines()
+                 if line.endswith("replicates/s)")]
+        assert [line.split(":")[0] for line in cells] == [
+            "INFO kol_decay ell=2", "INFO kol_decay ell=3",
+            "INFO kol_decay ell=4", "INFO ldp n=10", "INFO ldp n=20",
+        ]
+        assert all(": 30 replicates in " in line for line in cells)

@@ -57,7 +57,6 @@ _EXPORTS = {
     "GeometryError": "harmonics",
     "GramSimulator": "harmonics",
     "NonGaussianModel": "harmonics",
-    "ambient_gradient": "harmonics",
     "coefficients_csv_text": "harmonics",
     "covariance": "harmonics",
     "evaluate": "harmonics",

@@ -544,21 +544,6 @@ def _ring_jet2(
     return tuple(q.ravel() for q in (val, g_t, g_p, h_tt, h_tp, h_pp))
 
 
-def ambient_gradient(
-    coeffs: CoefficientVector, points: np.ndarray
-) -> np.ndarray:
-    """Riemannian gradient as tangent 3-vectors in ambient coordinates."""
-    _check_s2(coeffs.level)
-    pts = as_point_array(points)
-    theta, phi = _angles_of(pts)
-    _, g_t, g_p, _, _, _ = _frame_jet2(coeffs, theta, phi)
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    e_theta = np.column_stack([ct * cp, ct * sp, -st])
-    e_phi = np.column_stack([-sp, cp, np.zeros_like(sp)])
-    return g_t[:, None] * e_theta + g_p[:, None] * e_phi
-
-
 def gradient_hessian(
     coeffs: CoefficientVector, point: Union[SpherePoint, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -142,6 +142,8 @@ class ExperimentConfig:
                 raise ValueError("ell_list must be nonempty")
             if any(b <= a for a, b in zip(self.ell_list, self.ell_list[1:])):
                 raise ValueError("ell_list must be strictly increasing")
+            if self.kind == "supnorm" and self.ell_list[0] < 2:
+                raise ValueError("supnorm needs ell >= 2: it scales by sqrt(log ell)")
         if self.replicates < 30:
             raise ValueError(
                 "replicates must be >= 30 for standard errors to mean anything"
@@ -930,9 +932,10 @@ def run_config_file(path: str, out_dir: str,
     """
     import os
 
+    configs = parse_config_file(path)
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
-    for config in parse_config_file(path):
+    for config in configs:
         if seed_override is not None:
             config.seed = seed_override
             config.__post_init__()

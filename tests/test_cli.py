@@ -373,6 +373,23 @@ class TestEnvironment:
         blob = json.loads((out_dir / "variance_scaling.json").read_text())
         assert blob["seed"] == 77
 
+    def test_experiment_supnorm_below_ell_2_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            "[supnorm]\n"
+            "ell_list = 1, 2, 3\n"
+            "seed = 3\n"
+            "replicates = 30\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "run", str(ini), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: supnorm needs ell >= 2: it scales by sqrt(log ell)\n"
+        )
+        assert not out_dir.exists()
+
 
 class TestStderrContract:
     @staticmethod

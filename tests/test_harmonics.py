@@ -22,7 +22,6 @@ from sphex.harmonics import (
     FieldSample,
     GramSimulator,
     NonGaussianModel,
-    ambient_gradient,
     coefficients_csv_text,
     covariance,
     evaluate,
@@ -401,12 +400,6 @@ class TestLegendreKernel:
 
 
 class TestJets:
-    def test_ambient_gradient_is_s2_only(self):
-        lv = HarmonicLevel(3, 3)
-        cv = sample_gaussian(lv, stream(20, 1, "ambient"))
-        with pytest.raises(ValueError, match="only available on S\\^2"):
-            ambient_gradient(cv, np.array([[0.0, 0.0, 0.0, 1.0]]))
-
     def test_gradient_vs_value_fd(self):
         lv = HarmonicLevel(8, 2)
         cv = sample_gaussian(lv, stream(20, 0, "jets"))

@@ -274,16 +274,6 @@ def _var_se(x: np.ndarray) -> tuple[float, float]:
     return s2, math.sqrt(max(var_of_var, 0.0))
 
 
-def _frac_se(count: int, total: int) -> tuple[float, float]:
-    p = count / total
-    # sample std of 0/1 draws over sqrt(n), with the unbiased variance
-    if total > 1:
-        se = math.sqrt(p * (1.0 - p) / (total - 1))
-    else:
-        se = 0.0
-    return p, se
-
-
 def _sphere_grid(config: ExperimentConfig, ell: int) -> SphereGrid:
     return iso_latitude_grid(max(4, config.grid_density * ell * ell))
 
@@ -385,10 +375,13 @@ class _Cell:
                    exceeds: np.ndarray, theory_value: Optional[float]
                    ) -> tuple[float, float]:
         """Row of the fraction flagged in ``exceeds``; returns its Wilson interval."""
+        total = self.config.replicates
         count = int(np.count_nonzero(exceeds))
-        self.row(kind, u, threshold, *_frac_se(count, self.config.replicates),
-                 theory_value)
-        return wilson_interval(count, self.config.replicates)
+        frac = count / total
+        # sample std of 0/1 draws over sqrt(n), with the unbiased variance
+        se = math.sqrt(frac * (1.0 - frac) / (total - 1))
+        self.row(kind, u, threshold, frac, se, theory_value)
+        return wilson_interval(count, total)
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,10 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054
     denom = 1.0 + z2 / total
     center = (p + z2 / (2 * total)) / denom
     half = z * math.sqrt(p * (1 - p) / total + z2 / (4 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # exact at 0 and at total successes, where center -/+ half leaves rounding
+    lower = 0.0 if successes == 0 else max(0.0, center - half)
+    upper = 1.0 if successes == total else min(1.0, center + half)
+    return lower, upper
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:

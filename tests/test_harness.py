@@ -140,12 +140,16 @@ class TestRateFit:
 
 class TestWilson:
     def test_matches_scipy(self):
-        for k, n in ((0, 50), (3, 50), (25, 50), (50, 50), (7, 200)):
+        for k, n in ((0, 50), (3, 50), (25, 50), (50, 50), (7, 200), (0, 100)):
             lo, hi = wilson_interval(k, n)
             ci = binomtest(k, n).proportion_ci(confidence_level=0.95,
                                                method="wilson")
             assert lo == pytest.approx(ci.low, abs=1e-12)
             assert hi == pytest.approx(ci.high, abs=1e-12)
+            if k == 0:
+                assert lo == 0.0
+            if k == n:
+                assert hi == 1.0
 
     def test_domain(self):
         with pytest.raises(ValueError):

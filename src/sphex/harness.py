@@ -307,13 +307,13 @@ def _critical_replicates(
 
 
 class _Cell:
-    """One (kind, ell) cell of a campaign's record: its level, clock, counts
-    and rows.
+    """One (kind, ell) cell of a campaign, writing rows into its record.
 
-    The clock runs from construction until ``stop`` or the first row.  Its
-    reading fills the ``seconds`` column and, with the replicate rate, one
-    INFO line on the ``sphex`` logger.  ldp has no sphere: its cells are
-    keyed by n, which its rows store in the ell column with d = 0.
+    The cell owns its level, clock and degenerate count.  The clock runs
+    from construction until ``stop`` or the first row; its reading fills
+    the ``seconds`` column and, with the replicate rate, one INFO line on
+    the ``sphex`` logger.  ldp has no sphere: its cells are keyed by n,
+    which its rows store in the ell column with d = 0.
     """
 
     def __init__(self, record: ExperimentRecord, ell: int):

@@ -53,10 +53,14 @@ def excursion_volume(
 
     ``u`` may be a scalar or an array.  A scalar, and an array of up to
     four levels, is answered by one weighted count per level; a longer
-    array sorts the sampled values once and answers every level by binary
-    search, which is what the variance sweeps rely on.  Summation order is
-    fixed by the count or the sort, so repeated calls on identical inputs
-    are bit-identical.
+    array sorts the sampled values once (a plain sort when every weight is
+    equal, a stable argsort otherwise; see ``_sorted_mass``) and answers
+    every level by binary search, which is what the variance sweeps rely
+    on.  Summation order is fixed by the count or the sort, so repeated
+    calls on identical inputs are bit-identical.
+
+    Raises ``ValueError`` unless values and weights are non-empty 1-D
+    arrays of equal length.
     """
     values, weights = _values_weights(sample)
     u_arr = np.asarray(u, dtype=float)
@@ -65,9 +69,8 @@ def excursion_volume(
     if u_arr.size <= 4:
         counts = [np.dot(weights, (values >= v).astype(float)) for v in u_arr.flat]
         return np.array(counts).reshape(u_arr.shape)
-    order = np.argsort(values, kind="stable")
-    v_sorted = values[order]
-    prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
+    v_sorted, cum = _sorted_mass(values, weights)
+    prefix = np.concatenate([[0.0], cum])
     idx = np.searchsorted(v_sorted, u_arr, side="left")
     total = prefix[-1]
     return total - prefix[idx]
@@ -75,9 +78,41 @@ def excursion_volume(
 
 def _values_weights(sample) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(sample, FieldSample):
-        return sample.ensure_values()
-    values, weights = sample
-    return np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+        values, weights = sample.ensure_values()
+    else:
+        values, weights = sample
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if values.ndim != 1 or weights.ndim != 1:
+        raise ValueError(
+            f"values and weights must be 1-D, got shapes {values.shape} "
+            f"and {weights.shape}"
+        )
+    if values.size != weights.size:
+        raise ValueError(f"got {values.size} values but {weights.size} weights")
+    if values.size == 0:
+        raise ValueError("the sample is empty")
+    return values, weights
+
+
+def _sorted_mass(
+    values: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values in ascending order and the cumulative weight along them.
+
+    When every weight is the same nonzero number the weight array is
+    bit-for-bit constant, so permuting it changes nothing and its
+    cumulative sum is taken unpermuted; the values then need only a plain
+    sort, whose output is the sequence a stable argsort gives (it may put
+    tied 0.0 and -0.0 the other way round, which compare and evaluate
+    alike).  Other weights, all-zero ones of mixed sign included, take a
+    stable argsort.  Both routes give the bits the argsort would.
+    """
+    w0 = weights[0]
+    if w0 != 0 and np.all(weights == w0):
+        return np.sort(values), np.cumsum(weights)
+    order = np.argsort(values, kind="stable")
+    return values[order], np.cumsum(weights[order])
 
 
 def kolmogorov_distance(sample, scale: float = 1.0) -> float:
@@ -85,14 +120,18 @@ def kolmogorov_distance(sample, scale: float = 1.0) -> float:
 
     Both one-sided gaps are taken at every jump of the weighted empirical
     CDF (the supremum of |F_emp - Phi| over the whole line is attained at
-    a jump, from one side or the other).
+    a jump, from one side or the other).  The values are ordered by
+    ``_sorted_mass``: equal weights, as on the package's grids and point
+    sets, need only a plain sort; unequal ones take a stable argsort.
+
+    Raises ``ValueError`` unless values and weights are non-empty 1-D
+    arrays of equal length.
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive, got {scale}")
     values, weights = _values_weights(sample)
-    order = np.argsort(values, kind="stable")
-    v = values[order] / scale
-    cum = np.cumsum(weights[order])
+    v_sorted, cum = _sorted_mass(values, weights)
+    v = v_sorted / scale
     cum /= cum[-1]
     phi = _normal_cdf(v)
     d_plus = float(np.max(cum - phi))

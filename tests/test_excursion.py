@@ -35,7 +35,7 @@ from sphex.harmonics import (
     sample_gaussian,
     stream,
 )
-from sphex.specfun import CriticalKind, HarmonicLevel, gaussian
+from sphex.specfun import CriticalKind, HarmonicLevel, _normal_cdf, gaussian
 from sphex.sphere_geom import SpherePoint, icosphere, iso_latitude_grid
 
 
@@ -193,6 +193,153 @@ class TestKolmogorovDistance:
             ]
             means.append(float(np.mean(ks)))
         assert means[1] < means[0]
+
+
+def argsort_kolmogorov(values, weights, scale=1.0):
+    """``kolmogorov_distance`` as it was before the equal-weight path."""
+    order = np.argsort(values, kind="stable")
+    v = values[order] / scale
+    cum = np.cumsum(weights[order])
+    cum /= cum[-1]
+    phi = _normal_cdf(v)
+    d_plus = float(np.max(cum - phi))
+    d_minus = float(np.max(phi - np.concatenate([[0.0], cum[:-1]])))
+    return max(d_plus, d_minus)
+
+
+def argsort_volumes(values, weights, u_arr):
+    """The sort route of ``excursion_volume`` before the equal-weight path."""
+    order = np.argsort(values, kind="stable")
+    v_sorted = values[order]
+    prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
+    idx = np.searchsorted(v_sorted, u_arr, side="left")
+    return prefix[-1] - prefix[idx]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSortedMass:
+    """Both sort-based functionals give the argsort route's bits.
+
+    Equal weights take a plain sort and an unpermuted cumulative sum;
+    every other weight vector takes the stable argsort.  Each case compares
+    the public functionals with the reference copies above, bit for bit
+    (``tobytes``, so a flipped sign of zero would show too).
+    """
+
+    LEVELS = np.array([-np.inf, -2.0, -0.5, -0.0, 0.0, 0.3, 1.0, 2.5, np.inf])
+
+    def assert_matches_reference(self, values, weights, levels=None):
+        levels = self.LEVELS if levels is None else levels
+        got = kolmogorov_distance((values, weights))
+        ref = argsort_kolmogorov(values, weights)
+        assert got == ref and same_bits(got, ref)
+        for scale in (0.5, 3.0):
+            assert same_bits(kolmogorov_distance((values, weights), scale=scale),
+                             argsort_kolmogorov(values, weights, scale))
+        assert same_bits(excursion_volume((values, weights), levels),
+                         argsort_volumes(values, weights, levels))
+
+    @pytest.mark.parametrize("ell", [1, 2, 8, 33])
+    def test_random_fields_on_a_grid(self, ell):
+        grid = iso_latitude_grid(max(100, 20 * ell * ell))
+        assert np.all(grid.weights == grid.weights[0])
+        for rep in range(3):
+            cv = sample_gaussian(HarmonicLevel(ell, 2), stream(41, rep, f"sm:{ell}"))
+            sample = FieldSample.explicit(cv, grid)
+            levels = np.concatenate([self.LEVELS, sample.values[::97]])
+            self.assert_matches_reference(sample.values, sample.weights, levels)
+            assert kolmogorov_distance(sample) == argsort_kolmogorov(
+                sample.values, sample.weights)
+
+    def test_many_ties(self):
+        rng = np.random.default_rng(12)
+        for decimals in (0, 1, 2):
+            values = np.round(rng.standard_normal(4000), decimals)
+            levels = np.concatenate([self.LEVELS, values[:40]])
+            self.assert_matches_reference(values, np.full(4000, 1 / 4000), levels)
+            self.assert_matches_reference(values, np.full(4000, 0.1), levels)
+
+    def test_signed_zeros_and_infinities(self):
+        rng = np.random.default_rng(13)
+        values = rng.choice([0.0, -0.0, np.inf, -np.inf, 1.5, -1.5], size=501)
+        values[:4] = [0.0, -0.0, -0.0, 0.0]
+        self.assert_matches_reference(values, np.full(501, 1 / 501))
+        zeros = np.where(np.arange(64) % 3 == 0, -0.0, 0.0)
+        self.assert_matches_reference(zeros, np.full(64, 1 / 64))
+
+    def test_single_value(self):
+        for value in (-1.25, 0.0, -0.0, 7.0, np.inf):
+            self.assert_matches_reference(np.array([value]), np.array([1.0]))
+            self.assert_matches_reference(np.array([value]), np.array([0.3]))
+
+    def test_weights_one_ulp_apart_take_the_argsort(self):
+        # a plain cumulative sum on these weights differs from the permuted
+        # one in the last bits, so only the argsort route matches
+        rng = np.random.default_rng(14)
+        n = 3000
+        values = rng.standard_normal(n)
+        w = 1.0 / 3.0
+        weights = np.full(n, w)
+        weights[rng.choice(n, n // 2, replace=False)] = np.nextafter(w, 1.0)
+        order = np.argsort(values, kind="stable")
+        assert not same_bits(np.cumsum(weights), np.cumsum(weights[order]))
+        sorted_values, cum = excursion._sorted_mass(values, weights)
+        assert same_bits(sorted_values, values[order])
+        assert same_bits(cum, np.cumsum(weights[order]))
+        levels = np.concatenate([self.LEVELS, values[:40]])
+        self.assert_matches_reference(values, weights, levels)
+
+    def test_unequal_and_degenerate_weights(self):
+        rng = np.random.default_rng(15)
+        values = np.round(rng.standard_normal(800), 1)
+        self.assert_matches_reference(values, rng.uniform(0.5, 1.5, 800))
+        # all-zero weights of mixed sign compare equal but are not the
+        # same bits, so they too take the argsort
+        zeros = np.where(np.arange(800) % 2 == 0, -0.0, 0.0)
+        order = np.argsort(values, kind="stable")
+        assert same_bits(excursion._sorted_mass(values, zeros)[1],
+                         np.cumsum(zeros[order]))
+        assert same_bits(excursion_volume((values, zeros), self.LEVELS),
+                         argsort_volumes(values, zeros, self.LEVELS))
+
+
+class TestSampleValidation:
+    """Both functionals refuse samples the sort routes would misread."""
+
+    @staticmethod
+    def calls(values, weights):
+        yield lambda: kolmogorov_distance((values, weights))
+        yield lambda: excursion_volume((values, weights), 0.0)
+        yield lambda: excursion_volume((values, weights), [-1.0, 0.0])
+        yield lambda: excursion_volume((values, weights), np.linspace(-1, 1, 5))
+
+    @pytest.mark.parametrize("values, weights, message", [
+        (np.array([0.1, -0.4, 1.2]), np.full(5, 0.2), "3 values but 5 weights"),
+        (np.array([0.1, -0.4, 1.2, 0.0, 2.0]), np.full(3, 1 / 3),
+         "5 values but 3 weights"),
+        (np.array([]), np.array([]), "empty"),
+        (np.zeros((2, 3)), np.full((2, 3), 1 / 6), "1-D"),
+        (np.zeros(6), np.full((2, 3), 1 / 6), "1-D"),
+        (np.float64(0.5), np.float64(1.0), "1-D"),
+    ])
+    def test_rejected(self, values, weights, message):
+        for call in self.calls(values, weights):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_field_sample_is_checked_too(self):
+        sample = FieldSample(HarmonicLevel(3, 2), values=np.zeros(3),
+                             weights=np.full(5, 0.2))
+        with pytest.raises(ValueError, match="3 values but 5 weights"):
+            kolmogorov_distance(sample)
+
+    def test_lists_are_accepted(self):
+        assert kolmogorov_distance(([0.0, 1.0], [0.5, 0.5])) == argsort_kolmogorov(
+            np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
 
 class TestFindCriticalPointsDegreeOne:

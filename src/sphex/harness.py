@@ -529,12 +529,18 @@ def _run_kol_decay(record: ExperimentRecord) -> None:
         n = cell.level.n
         eps_base = config.epsilon_base(n)
         wilson = entry["wilson_intervals"] = {}
+        # a Kolmogorov distance never exceeds 1, so an exceedance row at
+        # eps >= 1 is 0 by construction; list those rows as vacuous
+        vacuous = entry["vacuous_eps"] = []
         for mult in config.epsilon_sweep:
             eps = mult * eps_base
-            wilson[f"eps={eps:.6g}"] = cell.exceedance(
+            key = f"eps={eps:.6g}"
+            wilson[key] = cell.exceedance(
                 "kol_decay_exceedance", None, eps, dists > eps,
                 theory.kolmogorov_measure_bound(n, eps, 1.0),
             )
+            if eps >= 1.0:
+                vacuous.append(key)
         record.rate_points.append((float(ell), mean))
     if len(record.rate_points) >= 3:
         record.fit = fit_rate(record.rate_points)

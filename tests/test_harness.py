@@ -336,6 +336,27 @@ class TestKolDecay:
         means = [r.estimate for r in kol_record.rows if r.kind == "kol_decay"]
         assert means[0] > means[-1]
 
+    def test_vacuous_eps_listed(self, kol_record):
+        # const:0.05 never reaches 1
+        for entry in kol_record.constants["per_ell"].values():
+            assert entry["vacuous_eps"] == []
+        # pow:3.0 gives eps = 3 n^(-1/3): n = 17, 25 at ell 8, 12 (eps >= 1
+        # at the first multiplier), n = 33 at ell 16 (eps = 0.935, 1.871)
+        record = run_experiment(small_config(
+            kind="kol_decay", ell_list=[8, 12, 16], replicates=30,
+            epsilon_rule="pow:3.0", epsilon_sweep=[1.0, 2.0],
+        ))
+        per_ell = record.constants["per_ell"]
+        assert per_ell["8"]["vacuous_eps"] == ["eps=1.16673", "eps=2.33347"]
+        assert per_ell["12"]["vacuous_eps"] == ["eps=1.02599", "eps=2.05197"]
+        assert per_ell["16"]["vacuous_eps"] == ["eps=1.8706"]
+        for ell, entry in per_ell.items():
+            assert set(entry["vacuous_eps"]) <= set(entry["wilson_intervals"])
+        vacuous_rows = [r for r in record.rows
+                        if r.kind == "kol_decay_exceedance" and r.epsilon >= 1.0]
+        assert len(vacuous_rows) == 5
+        assert all(r.estimate == 0.0 for r in vacuous_rows)
+
 
 class TestSupnorm:
 
@@ -721,7 +742,7 @@ class TestGridGolden:
             "77e7420999cb16855ae89882df4185153ec210f5d7bbd94f1ee08c1ef1269181"
         ),
         "kol_decay.json": (
-            "42b0fb5f37161b63ef657c13fd6850e65a6b0bf6c11c648629f6d523f2c88ba6"
+            "57d9efb8423ad5c5858cec281bde28cbecb28327759c07ee34dc3759dd4405a0"
         ),
         "kol_decay_rates.csv": (
             "9d070cd25f3f28f2af13ab4de59f45184dec1b38a9d15fefcd0064b44f9cccc2"

@@ -234,10 +234,7 @@ class TestSortedMass:
 
     def assert_matches_reference(self, values, weights, levels=None):
         levels = self.LEVELS if levels is None else levels
-        got = kolmogorov_distance((values, weights))
-        ref = argsort_kolmogorov(values, weights)
-        assert got == ref and same_bits(got, ref)
-        for scale in (0.5, 3.0):
+        for scale in (1.0, 0.5, 3.0):
             assert same_bits(kolmogorov_distance((values, weights), scale=scale),
                              argsort_kolmogorov(values, weights, scale))
         assert same_bits(excursion_volume((values, weights), levels),

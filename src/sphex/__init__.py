@@ -68,7 +68,6 @@ _EXPORTS = {
     "sample_nongaussian": "harmonics",
     "sample_radius": "harmonics",
     "sample_unit_coefficients": "harmonics",
-    "simulate_field": "harmonics",
     "stream": "harmonics",
     "write_coefficients_csv": "harmonics",
     "ylm": "harmonics",

@@ -229,12 +229,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_excursion(args: argparse.Namespace) -> int:
     from .excursion import excursion_volume
-
-    coeffs = _load_coefficients(args.input)
-    grid = _field_grid(coeffs, args.grid)
     from .harmonics import FieldSample
 
-    sample = FieldSample.explicit(coeffs, grid=grid)
+    coeffs = _load_coefficients(args.input)
+    sample = FieldSample.explicit(coeffs, _field_grid(coeffs, args.grid))
     print("u,volume")
     for u in args.u:
         print(f"{fmt12(u)},{fmt12(excursion_volume(sample, u))}")
@@ -288,12 +286,11 @@ def _cmd_supnorm(args: argparse.Namespace) -> int:
 
 def _cmd_kol(args: argparse.Namespace) -> int:
     from .excursion import kolmogorov_distance
-    from .harmonics import evaluate_grid
+    from .harmonics import FieldSample
 
     coeffs = _load_coefficients(args.input)
-    grid = _field_grid(coeffs, args.grid)
-    vals = evaluate_grid(coeffs, grid)
-    print(fmt12(kolmogorov_distance((vals, grid.weights))))
+    sample = FieldSample.explicit(coeffs, _field_grid(coeffs, args.grid))
+    print(fmt12(kolmogorov_distance(sample)))
     return 0
 
 

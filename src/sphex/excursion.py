@@ -46,9 +46,7 @@ __all__ = [
 ]
 
 
-def excursion_volume(
-    sample: Union[FieldSample, tuple], u
-) -> Union[float, np.ndarray]:
+def excursion_volume(sample: FieldSample, u) -> Union[float, np.ndarray]:
     """Normalized measure of the excursion set {f >= u}.
 
     ``u`` may be a scalar or an array.  A scalar, and an array of up to
@@ -76,11 +74,8 @@ def excursion_volume(
     return total - prefix[idx]
 
 
-def _values_weights(sample) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(sample, FieldSample):
-        values, weights = sample.ensure_values()
-    else:
-        values, weights = sample
+def _values_weights(sample: FieldSample) -> tuple[np.ndarray, np.ndarray]:
+    values, weights = sample
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 1 or weights.ndim != 1:
@@ -115,7 +110,7 @@ def _sorted_mass(
     return values[order], np.cumsum(weights[order])
 
 
-def kolmogorov_distance(sample, scale: float = 1.0) -> float:
+def kolmogorov_distance(sample: FieldSample, scale: float = 1.0) -> float:
     """Kolmogorov distance between the sampled value law and N(0, scale^2).
 
     Both one-sided gaps are taken at every jump of the weighted empirical

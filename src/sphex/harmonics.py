@@ -28,7 +28,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "sample_nongaussian",
     "sample_radius",
     "sample_unit_coefficients",
-    "simulate_field",
     "stream",
     "write_coefficients_csv",
     "ylm",
@@ -243,7 +242,7 @@ def _check_s2(level: HarmonicLevel) -> None:
     if level.dim != 2:
         raise ValueError(
             "the explicit basis is only available on S^2; "
-            f"got dim={level.dim} (use simulate_field for higher dimensions)"
+            f"got dim={level.dim} (use GramSimulator for higher dimensions)"
         )
 
 
@@ -587,46 +586,20 @@ def covariance(level: HarmonicLevel, x, y) -> Union[float, np.ndarray]:
     return float(vals[0]) if vals.shape == (1,) else vals
 
 
-@dataclass
-class FieldSample:
-    """A realized field, either explicit coefficients or a point-set draw.
+class FieldSample(NamedTuple):
+    """A sampled field: its values at a point set and the weights of the points.
 
-    Explicit samples (S^2) carry a ``CoefficientVector`` and optionally a
-    grid with cached values; point-set samples carry only values at a
-    fixed point set, simulated from the covariance, plus the diagonal
-    jitter that was needed to factorize the Gram matrix.
+    Every functional of a field's value law reads exactly this pair, so a
+    plain ``(values, weights)`` tuple is accepted wherever a sample is.
     """
 
-    level: HarmonicLevel
-    coeffs: Optional[CoefficientVector] = None
-    grid: Optional[SphereGrid] = None
-    points: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
-    jitter: float = 0.0
+    values: np.ndarray
+    weights: np.ndarray
 
     @classmethod
-    def explicit(
-        cls, coeffs: CoefficientVector, grid: Optional[SphereGrid] = None
-    ) -> "FieldSample":
-        sample = cls(level=coeffs.level, coeffs=coeffs, grid=grid)
-        if grid is not None:
-            sample.values = evaluate_grid(coeffs, grid)
-            sample.weights = grid.weights
-            sample.points = grid.points
-        return sample
-
-    @property
-    def kind(self) -> str:
-        return "explicit" if self.coeffs is not None else "pointset"
-
-    def ensure_values(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.values is None or self.weights is None:
-            raise ValueError(
-                "sample carries no evaluated values; attach a grid via "
-                "FieldSample.explicit(coeffs, grid) or use simulate_field"
-            )
-        return self.values, self.weights
+    def explicit(cls, coeffs: CoefficientVector, grid: SphereGrid) -> "FieldSample":
+        """The field with coefficients ``coeffs`` (S^2) sampled on ``grid``."""
+        return cls(evaluate_grid(coeffs, grid), grid.weights)
 
 
 class GramSimulator:
@@ -635,16 +608,16 @@ class GramSimulator:
     The Gram matrix has rank at most the eigenspace dimension, so for
     point counts beyond that a diagonal jitter is unavoidable; it is
     escalated from 1e-12 by factors of 10 up to 1e-8 and the value used is
-    reported on every sample.  Failure beyond the ceiling raises
+    kept in ``jitter``.  Failure beyond the ceiling raises
     ``GeometryError`` (degenerate geometry, e.g. duplicated points).
+    Samples carry the grid's weights when ``points`` is a ``SphereGrid``
+    and uniform weights otherwise.
     """
 
     _LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 
-    def __init__(self, level: HarmonicLevel, points, weights=None) -> None:
+    def __init__(self, level: HarmonicLevel, points) -> None:
         pts = as_point_array(points)
-        if isinstance(points, SphereGrid):
-            weights = points.weights if weights is None else weights
         if pts.shape[1] != level.dim + 1:
             raise ValueError(
                 f"points have ambient dimension {pts.shape[1]}, "
@@ -654,7 +627,8 @@ class GramSimulator:
         self.points = pts
         n_pts = pts.shape[0]
         self.weights = (
-            np.full(n_pts, 1.0 / n_pts) if weights is None else np.asarray(weights)
+            points.weights if isinstance(points, SphereGrid)
+            else np.full(n_pts, 1.0 / n_pts)
         )
         gram = gegenbauer(level.ell, level.dim, np.clip(pts @ pts.T, -1.0, 1.0))
         self.jitter = 0.0
@@ -677,28 +651,7 @@ class GramSimulator:
 
     def sample(self, rng: np.random.Generator) -> FieldSample:
         z = rng.standard_normal(self.points.shape[0])
-        vals = self._chol @ z
-        return FieldSample(
-            level=self.level,
-            points=self.points,
-            values=vals,
-            weights=self.weights,
-            jitter=self.jitter,
-        )
-
-
-def simulate_field(
-    level: HarmonicLevel,
-    points,
-    rng: np.random.Generator,
-    weights=None,
-) -> FieldSample:
-    """One Gaussian-ensemble draw of field values at ``points``.
-
-    For repeated draws at a fixed point set construct a ``GramSimulator``
-    once and call ``sample``; this wrapper refactorizes every call.
-    """
-    return GramSimulator(level, points, weights).sample(rng)
+        return FieldSample(self._chol @ z, self.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,9 @@ from .excursion import (
 )
 from .harmonics import (
     CoefficientVector,
+    FieldSample,
     GramSimulator,
     NonGaussianModel,
-    evaluate_grid,
     sample_gaussian,
     sample_nongaussian,
     sample_unit_coefficients,
@@ -336,13 +336,14 @@ class _Cell:
 
     def on_grid(self, purpose: str, grid: SphereGrid,
                 draw: Callable[[HarmonicLevel, np.random.Generator], CoefficientVector],
-                functional: Callable[[CoefficientVector, tuple], object]) -> np.ndarray:
-        """Replicates that draw a field, evaluate it on ``grid`` and pass the
-        coefficients and the (values, weights) sample to ``functional``."""
+                functional: Callable[[CoefficientVector, FieldSample], object]
+                ) -> np.ndarray:
+        """Replicates that draw a field, sample it on ``grid`` and pass the
+        coefficients and the sample to ``functional``."""
 
         def measure(rng: np.random.Generator) -> object:
             coeffs = draw(self.level, rng)
-            return functional(coeffs, (evaluate_grid(coeffs, grid), grid.weights))
+            return functional(coeffs, FieldSample.explicit(coeffs, grid))
 
         return self.replicates(purpose, measure)
 
@@ -671,7 +672,7 @@ def _run_nongaussian(record: ExperimentRecord) -> None:
         }
 
 
-def _max_deviation(sample: tuple, u_arr: np.ndarray, scale: float) -> float:
+def _max_deviation(sample: FieldSample, u_arr: np.ndarray, scale: float) -> float:
     """Largest gap between the excursion volumes and the N(0, scale^2) tail."""
     target = gaussian(u_arr / scale).tail
     return float(np.max(np.abs(excursion_volume(sample, u_arr) - target)))

@@ -329,8 +329,7 @@ class TestSampleValidation:
                 call()
 
     def test_field_sample_is_checked_too(self):
-        sample = FieldSample(HarmonicLevel(3, 2), values=np.zeros(3),
-                             weights=np.full(5, 0.2))
+        sample = FieldSample(values=np.zeros(3), weights=np.full(5, 0.2))
         with pytest.raises(ValueError, match="3 values but 5 weights"):
             kolmogorov_distance(sample)
 

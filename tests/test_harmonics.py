@@ -33,7 +33,6 @@ from sphex.harmonics import (
     sample_nongaussian,
     sample_radius,
     sample_unit_coefficients,
-    simulate_field,
     stream,
     write_coefficients_csv,
     ylm,
@@ -567,8 +566,8 @@ class TestSimulateField:
     def test_reproducible(self):
         lv = HarmonicLevel(3, 2)
         pts = iso_latitude_grid(30).points
-        a = simulate_field(lv, pts, stream(33, 5, "repro")).values
-        b = simulate_field(lv, pts, stream(33, 5, "repro")).values
+        a = GramSimulator(lv, pts).sample(stream(33, 5, "repro")).values
+        b = GramSimulator(lv, pts).sample(stream(33, 5, "repro")).values
         assert np.array_equal(a, b)
 
     def test_jitter_reported_for_oversampled_grid(self):
@@ -577,19 +576,19 @@ class TestSimulateField:
         pts = iso_latitude_grid(60).points
         sim = GramSimulator(lv, pts)
         assert sim.jitter in GramSimulator._LADDER
-        s = sim.sample(stream(34, 0, "jit"))
-        assert s.jitter == sim.jitter
-        assert s.kind == "pointset"
+
+    def test_sample_weights_come_from_the_grid_or_are_uniform(self):
+        lv = HarmonicLevel(2, 2)
+        grid = iso_latitude_grid(30)
+        s = GramSimulator(lv, grid).sample(stream(36, 0, "w"))
+        assert s.weights is grid.weights
+        s = GramSimulator(lv, grid.points).sample(stream(36, 0, "w"))
+        assert np.array_equal(s.weights, np.full(len(grid), 1 / len(grid)))
 
     def test_explicit_sample_kind(self):
         cv = sample_gaussian(HarmonicLevel(3, 2), stream(35, 0, "exp"))
-        s = FieldSample.explicit(cv)
-        assert s.kind == "explicit"
-        with pytest.raises(ValueError):
-            s.ensure_values()
         grid = iso_latitude_grid(50)
-        s2 = FieldSample.explicit(cv, grid)
-        vals, w = s2.ensure_values()
+        vals, w = FieldSample.explicit(cv, grid)
         assert vals.shape == (len(grid),)
         assert np.array_equal(w, grid.weights)
 

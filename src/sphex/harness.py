@@ -107,9 +107,10 @@ class ExperimentConfig:
     whether bad_set deviations are measured from the pilot Gaussian mean
     or from the analytic limit 1 - Phi(u).  ``n_list`` (degrees of
     freedom) and ``a`` (threshold) apply to the ldp kind only, which has
-    no sphere in it; its rows store n in the ell column.  ``grid_cap``
-    bounds the point count of d >= 3 simulations, where factorizing the
-    Gram matrix is the limiting cost.
+    no sphere in it; its rows store n in the ell column.  Only kol_decay
+    runs on S^d for d >= 3; the other sphere kinds use the explicit S^2
+    basis.  ``grid_cap`` bounds the point count of d >= 3 simulations,
+    where factorizing the Gram matrix is the limiting cost.
     """
 
     kind: str
@@ -150,6 +151,10 @@ class ExperimentConfig:
             )
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
+        if self.dim != 2 and self.kind not in ("kol_decay", "ldp"):
+            raise ValueError(
+                f"{self.kind} needs dim = 2: it uses the explicit basis on S^2"
+            )
         if self.grid_density < 1:
             raise ValueError("grid_density must be positive")
         if not self.u_list:

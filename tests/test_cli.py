@@ -390,6 +390,29 @@ class TestEnvironment:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("kind", [
+        "variance_scaling", "bad_set", "supnorm", "nongaussian", "epc",
+        "critical_density",
+    ])
+    def test_experiment_s2_kind_in_dim_3_exits_2(self, kind, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            f"[{kind}]\n"
+            "ell_list = 2, 3, 4\n"
+            "seed = 3\n"
+            "replicates = 30\n"
+            "dim = 3\n"
+            + ("model = student:5\n" if kind == "nongaussian" else "")
+        )
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "run", str(ini), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {kind} needs dim = 2: it uses the explicit basis on S^2\n"
+        )
+        assert not out_dir.exists()
+
 
 class TestStderrContract:
     @staticmethod

@@ -58,7 +58,7 @@ def excursion_volume(sample: FieldSample, u) -> Union[float, np.ndarray]:
     calls on identical inputs are bit-identical.
 
     Raises ``ValueError`` unless values and weights are non-empty 1-D
-    arrays of equal length.
+    arrays of equal length and the weights are non-negative.
     """
     values, weights = _values_weights(sample)
     u_arr = np.asarray(u, dtype=float)
@@ -87,6 +87,8 @@ def _values_weights(sample: FieldSample) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"got {values.size} values but {weights.size} weights")
     if values.size == 0:
         raise ValueError("the sample is empty")
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
     return values, weights
 
 
@@ -120,12 +122,14 @@ def kolmogorov_distance(sample: FieldSample, scale: float = 1.0) -> float:
     sets, need only a plain sort; unequal ones take a stable argsort.
 
     Raises ``ValueError`` unless values and weights are non-empty 1-D
-    arrays of equal length.
+    arrays of equal length, the weights non-negative with a positive total.
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive, got {scale}")
     values, weights = _values_weights(sample)
     v_sorted, cum = _sorted_mass(values, weights)
+    if not cum[-1] > 0:
+        raise ValueError("the weights sum to zero")
     v = v_sorted / scale
     cum /= cum[-1]
     phi = _normal_cdf(v)

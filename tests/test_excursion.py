@@ -322,6 +322,7 @@ class TestSampleValidation:
         (np.zeros((2, 3)), np.full((2, 3), 1 / 6), "1-D"),
         (np.zeros(6), np.full((2, 3), 1 / 6), "1-D"),
         (np.float64(0.5), np.float64(1.0), "1-D"),
+        (np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 0.5]), "non-negative"),
     ])
     def test_rejected(self, values, weights, message):
         for call in self.calls(values, weights):
@@ -332,6 +333,13 @@ class TestSampleValidation:
         sample = FieldSample(values=np.zeros(3), weights=np.full(5, 0.2))
         with pytest.raises(ValueError, match="3 values but 5 weights"):
             kolmogorov_distance(sample)
+
+    def test_zero_total_has_no_distance(self):
+        # an all-zero measure has no distribution function; its excursion
+        # volumes are still the zero measure's
+        with pytest.raises(ValueError, match="sum to zero"):
+            kolmogorov_distance(([0.0, 1.0], [0.0, 0.0]))
+        assert excursion_volume(([0.0, 1.0], [0.0, 0.0]), 0.5) == 0.0
 
     def test_lists_are_accepted(self):
         assert kolmogorov_distance(([0.0, 1.0], [0.5, 0.5])) == argsort_kolmogorov(

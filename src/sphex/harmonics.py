@@ -794,21 +794,28 @@ def _read_coeffs(fh) -> CoefficientVector:
     rows = list(reader)
     if not rows:
         raise ValueError("coefficient CSV is empty")
-    ell = int(rows[0]["ell"])
-    d = int(rows[0]["d"])
-    radius = float(rows[0]["radius"])
-    level = HarmonicLevel(ell, d)
+    first = {"ell": int(rows[0]["ell"]), "d": int(rows[0]["d"]),
+             "radius": float(rows[0]["radius"])}
+    level = HarmonicLevel(first["ell"], first["d"])
     alpha = np.zeros(level.n)
     seen = np.zeros(level.n, dtype=bool)
     for row in rows:
+        for column, value in first.items():
+            if type(value)(row[column]) != value:
+                raise ValueError(
+                    f"column {column} is {row[column]} on one row but "
+                    f"{rows[0][column]} on the first"
+                )
         m = int(row["m"])
         if not 1 <= m <= level.n:
             raise ValueError(f"slot index {m} outside 1..{level.n}")
+        if seen[m - 1]:
+            raise ValueError(f"slot index {m} appears more than once")
         alpha[m - 1] = float(row["alpha"])
         seen[m - 1] = True
     if not seen.all():
         raise ValueError("coefficient CSV is missing slots")
-    return CoefficientVector(level, alpha, radius)
+    return CoefficientVector(level, alpha, first["radius"])
 
 
 def coefficients_csv_text(coeffs: CoefficientVector) -> str:

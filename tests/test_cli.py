@@ -303,6 +303,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("error:") == 5
 
+    @pytest.mark.parametrize("rows, message", [
+        (["1,2,1.0,1,1.0", "1,2,2.0,2,0.0", "1,2,1.0,3,0.0"],
+         "error: column radius is 2.0 on one row but 1.0 on the first\n"),
+        (["1,2,1.0,1,1.0", "1,3,1.0,2,0.0", "1,2,1.0,3,0.0"],
+         "error: column d is 3 on one row but 2 on the first\n"),
+        (["1,2,1.0,1,0.0", "1,2,1.0,2,1.0", "1,2,1.0,2,0.0"],
+         "error: slot index 2 appears more than once\n"),
+    ], ids=["radius", "d", "repeated-slot"])
+    def test_inconsistent_coefficient_csv_exits_2(self, rows, message,
+                                                   tmp_path, capsys):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("ell,d,radius,m,alpha\n" + "\n".join(rows) + "\n")
+        assert main(["supnorm", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         assert main(["excursion", "--input", missing, "--u=0"]) == 2

@@ -40,7 +40,9 @@ __all__ = [
     "CoefficientVector",
     "FieldSample",
     "GeometryError",
+    "GramSimulator",
     "NonGaussianModel",
+    "coefficients_csv_text",
     "covariance",
     "evaluate",
     "evaluate_grid",

@@ -74,6 +74,7 @@ __all__ = [
     "fit_rate",
     "mesh_agreement",
     "parse_config_file",
+    "run_config_file",
     "run_experiment",
     "wilson_interval",
     "write_rates_csv",

@@ -87,7 +87,7 @@ def _values_weights(sample: FieldSample) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"got {values.size} values but {weights.size} weights")
     if values.size == 0:
         raise ValueError("the sample is empty")
-    if np.any(weights < 0):
+    if not np.all(weights >= 0):  # a NaN weight fails this too
         raise ValueError("weights must be non-negative")
     return values, weights
 
@@ -122,14 +122,17 @@ def kolmogorov_distance(sample: FieldSample, scale: float = 1.0) -> float:
     sets, need only a plain sort; unequal ones take a stable argsort.
 
     Raises ``ValueError`` unless values and weights are non-empty 1-D
-    arrays of equal length, the weights non-negative with a positive total.
+    arrays of equal length, the weights non-negative with a finite positive
+    total.
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive, got {scale}")
     values, weights = _values_weights(sample)
     v_sorted, cum = _sorted_mass(values, weights)
-    if not cum[-1] > 0:
-        raise ValueError("the weights sum to zero")
+    if not 0 < cum[-1] < math.inf:
+        raise ValueError(
+            f"the weights must have a finite positive total, got {cum[-1]}"
+        )
     v = v_sorted / scale
     cum /= cum[-1]
     phi = _normal_cdf(v)

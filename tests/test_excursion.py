@@ -323,6 +323,7 @@ class TestSampleValidation:
         (np.zeros(6), np.full((2, 3), 1 / 6), "1-D"),
         (np.float64(0.5), np.float64(1.0), "1-D"),
         (np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 0.5]), "non-negative"),
+        (np.array([0.0, 1.0]), np.array([np.nan, 1.0]), "non-negative"),
     ])
     def test_rejected(self, values, weights, message):
         for call in self.calls(values, weights):
@@ -334,11 +335,13 @@ class TestSampleValidation:
         with pytest.raises(ValueError, match="3 values but 5 weights"):
             kolmogorov_distance(sample)
 
-    def test_zero_total_has_no_distance(self):
-        # an all-zero measure has no distribution function; its excursion
-        # volumes are still the zero measure's
-        with pytest.raises(ValueError, match="sum to zero"):
-            kolmogorov_distance(([0.0, 1.0], [0.0, 0.0]))
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [0.0, -0.0], [np.inf, 1.0]])
+    def test_no_distance_without_a_finite_positive_total(self, weights):
+        # such a measure has no distribution function to compare
+        with pytest.raises(ValueError, match="finite positive total"):
+            kolmogorov_distance(([0.0, 1.0], weights))
+
+    def test_zero_measure_has_zero_volumes(self):
         assert excursion_volume(([0.0, 1.0], [0.0, 0.0]), 0.5) == 0.0
 
     def test_lists_are_accepted(self):

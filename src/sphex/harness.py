@@ -35,8 +35,10 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from typing import (
+    Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints,
+)
 
 import numpy as np
 from scipy.stats import ks_2samp
@@ -84,17 +86,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger("sphex")
-
-KINDS = (
-    "variance_scaling",
-    "bad_set",
-    "kol_decay",
-    "supnorm",
-    "ldp",
-    "nongaussian",
-    "epc",
-    "critical_density",
-)
 
 
 @dataclass
@@ -744,6 +735,8 @@ _RUNNERS = {
     "critical_density": _run_critical_density,
 }
 
+KINDS = tuple(_RUNNERS)
+
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Run one campaign and return its record (rows, constants, rate fit)."""
@@ -884,11 +877,14 @@ def write_rates_csv(record: ExperimentRecord, path: str) -> bool:
     return True
 
 
-_LIST_INT_FIELDS = {"ell_list", "n_list"}
-_LIST_FLOAT_FIELDS = {"u_list", "epsilon_sweep"}
-_INT_FIELDS = {"dim", "replicates", "grid_density", "seed", "grid_cap"}
-_FLOAT_FIELDS = {"a"}
-_STR_FIELDS = {"model", "epsilon_rule", "centering"}
+def _field_parser(hint) -> Callable[[str], object]:
+    """How an INI value becomes a value of a field annotated ``hint``."""
+    if get_origin(hint) is Union:  # Optional[X] parses as X
+        hint = next(a for a in get_args(hint) if a is not type(None))
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        return lambda raw: [item(tok) for tok in raw.split(",") if tok.strip()]
+    return lambda raw: hint(raw.strip())
 
 
 def parse_config_file(path: str) -> list[ExperimentConfig]:
@@ -896,8 +892,12 @@ def parse_config_file(path: str) -> list[ExperimentConfig]:
 
     Section names are the kind; keys are exactly the ExperimentConfig
     field names (unknown keys are an error, misspellings should fail
-    loudly rather than silently fall back to defaults).
+    loudly rather than silently fall back to defaults).  Each value is
+    parsed by the field's annotation: ``list[T]`` as comma-separated T.
     """
+    hints = get_type_hints(ExperimentConfig)
+    del hints["kind"]  # the section name
+    parsers = {name: _field_parser(hint) for name, hint in hints.items()}
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -910,18 +910,9 @@ def parse_config_file(path: str) -> list[ExperimentConfig]:
             )
         kwargs: dict = {"kind": section}
         for key, raw in parser.items(section):
-            if key in _LIST_INT_FIELDS:
-                kwargs[key] = [int(tok) for tok in raw.split(",") if tok.strip()]
-            elif key in _LIST_FLOAT_FIELDS:
-                kwargs[key] = [float(tok) for tok in raw.split(",") if tok.strip()]
-            elif key in _INT_FIELDS:
-                kwargs[key] = int(raw)
-            elif key in _FLOAT_FIELDS:
-                kwargs[key] = float(raw)
-            elif key in _STR_FIELDS:
-                kwargs[key] = raw.strip()
-            else:
+            if key not in parsers:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
+            kwargs[key] = parsers[key](raw)
         if "ell_list" not in kwargs:
             kwargs["ell_list"] = kwargs.get("n_list", [])
             if section != "ldp":
@@ -946,8 +937,7 @@ def run_config_file(path: str, out_dir: str,
     written: list[str] = []
     for config in configs:
         if seed_override is not None:
-            config.seed = seed_override
-            config.__post_init__()
+            config = replace(config, seed=seed_override)
         record = run_experiment(config)
         base = os.path.join(out_dir, config.kind)
         csv_path = base + ".csv"

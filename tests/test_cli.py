@@ -37,6 +37,13 @@ from sphex.sphere_geom import icosphere, iso_latitude_grid
 from sphex.specfun import HarmonicLevel
 
 
+def _child_env() -> dict:
+    """Environment for a child interpreter that imports this sphex package."""
+    package_root = os.path.dirname(os.path.dirname(sphex.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture()
 def sample_csv(tmp_path):
     """A gaussian coefficient CSV written through the CLI itself."""
@@ -344,6 +351,14 @@ class TestEnvironment:
             assert os.environ[var] == "2"
         capsys.readouterr()
 
+    def test_imports_leave_numpy_unloaded(self):
+        # --threads sets the BLAS variables in main(), which works only if
+        # numpy is not loaded yet when the package and the CLI are imported
+        code = "import sys, sphex, sphex.cli; print('numpy' in sys.modules)"
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, env=_child_env())
+        assert (child.returncode, child.stdout) == (0, "False\n")
+
     def test_threads_equals_form(self, monkeypatch, capsys):
         for var in _THREAD_ENV_VARS:
             monkeypatch.delenv(var, raising=False)
@@ -434,13 +449,9 @@ class TestEnvironment:
 class TestStderrContract:
     @staticmethod
     def _cli(*argv):
-        # subprocess: logging.basicConfig binds per process; the child
-        # imports the same sphex package as this process
-        package_root = os.path.dirname(os.path.dirname(sphex.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        # subprocess: logging.basicConfig binds per process
         return subprocess.run([sys.executable, "-m", "sphex.cli", *argv],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=_child_env())
 
     def test_verbose_logs_to_stderr_only(self, tmp_path):
         quiet = self._cli("sample", "--ell", "3", "--seed", "4")

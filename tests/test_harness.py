@@ -7,6 +7,7 @@ independence between cells, exact theory columns, and the CSV/JSON
 output contract.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -619,6 +620,26 @@ class TestConfigFile:
         assert ldp.n_list == [100, 200, 400]
         assert ldp.a == 1.5
 
+    def test_every_field_round_trips(self, tmp_path):
+        config = ExperimentConfig(
+            kind="kol_decay", ell_list=[3, 5], seed=11, replicates=40, dim=3,
+            u_list=[-0.5, 0.25], grid_density=7, model="student:5",
+            epsilon_rule="const:0.2", epsilon_sweep=[0.5, 2.0],
+            centering="analytic", n_list=[10, 20], a=2.5, grid_cap=1234,
+        )
+        lines = [f"[{config.kind}]"]
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            default = (f.default if f.default_factory is dataclasses.MISSING
+                       else f.default_factory())
+            assert value != default, f"{f.name} keeps its default"
+            if f.name != "kind":
+                text = ", ".join(map(str, value)) if isinstance(value, list) else value
+                lines.append(f"{f.name} = {text}")
+        path = tmp_path / "exp.ini"
+        path.write_text("\n".join(lines) + "\n")
+        assert parse_config_file(str(path)) == [config]
+
     def test_error_paths(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_config_file(str(tmp_path / "missing.ini"))
@@ -630,6 +651,10 @@ class TestConfigFile:
         bad_key.write_text("[epc]\nell_list = 2\nseed = 1\nreplicates = 30\nfoo = 1\n")
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(str(bad_key))
+        kind_key = tmp_path / "kind.ini"  # the section name is the kind
+        kind_key.write_text("[epc]\nkind = epc\nell_list = 2\nseed = 1\nreplicates = 30\n")
+        with pytest.raises(ValueError, match="unknown config key 'kind' in \\[epc\\]"):
+            parse_config_file(str(kind_key))
         bad_section = tmp_path / "sect.ini"
         bad_section.write_text("[warp_drive]\nseed = 1\n")
         with pytest.raises(ValueError, match="unknown experiment kind"):

@@ -766,12 +766,15 @@ def sample_nongaussian(
 # ---------------------------------------------------------------------------
 
 
+_CSV_COLUMNS = ("ell", "d", "radius", "m", "alpha")
+
+
 def write_coefficients_csv(coeffs: CoefficientVector, path_or_file) -> None:
     """Columns ell, d, radius, m, alpha with %.17g floats (exact round trip)."""
 
     def _write(fh) -> None:
         writer = csv.writer(fh)
-        writer.writerow(["ell", "d", "radius", "m", "alpha"])
+        writer.writerow(_CSV_COLUMNS)
         ell, d = coeffs.level.ell, coeffs.level.dim
         r = format(coeffs.radius, ".17g")
         for m, a in enumerate(coeffs.alpha, start=1):
@@ -793,6 +796,12 @@ def read_coefficients_csv(path_or_file) -> CoefficientVector:
 
 def _read_coeffs(fh) -> CoefficientVector:
     reader = csv.DictReader(fh)
+    missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(
+            f"coefficient CSV is missing columns: {', '.join(missing)}; "
+            f"expected the header {','.join(_CSV_COLUMNS)}"
+        )
     rows = list(reader)
     if not rows:
         raise ValueError("coefficient CSV is empty")

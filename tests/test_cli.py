@@ -327,6 +327,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == message
 
+    def test_coefficient_csv_without_a_column_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("ell,d,m,alpha\n1,2,1,1.0\n1,2,2,0.0\n1,2,3,0.0\n")
+        assert main(["supnorm", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: coefficient CSV is missing columns: radius; "
+                                "expected the header ell,d,radius,m,alpha\n")
+
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         assert main(["excursion", "--input", missing, "--u=0"]) == 2

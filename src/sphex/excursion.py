@@ -58,7 +58,7 @@ def excursion_volume(sample: FieldSample, u) -> Union[float, np.ndarray]:
     calls on identical inputs are bit-identical.
 
     Raises ``ValueError`` unless values and weights are non-empty 1-D
-    arrays of equal length and the weights are non-negative.
+    arrays of equal length and the weights are finite and non-negative.
     """
     values, weights = _values_weights(sample)
     u_arr = np.asarray(u, dtype=float)
@@ -87,8 +87,8 @@ def _values_weights(sample: FieldSample) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"got {values.size} values but {weights.size} weights")
     if values.size == 0:
         raise ValueError("the sample is empty")
-    if not np.all(weights >= 0):  # a NaN weight fails this too
-        raise ValueError("weights must be non-negative")
+    if not np.all((weights >= 0) & (weights < np.inf)):  # so does a NaN
+        raise ValueError("weights must be finite and non-negative")
     return values, weights
 
 
@@ -122,8 +122,8 @@ def kolmogorov_distance(sample: FieldSample, scale: float = 1.0) -> float:
     sets, need only a plain sort; unequal ones take a stable argsort.
 
     Raises ``ValueError`` unless values and weights are non-empty 1-D
-    arrays of equal length, the weights non-negative with a finite positive
-    total.
+    arrays of equal length, the weights finite and non-negative with a
+    finite positive total (finite weights can still sum to inf).
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive, got {scale}")

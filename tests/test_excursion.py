@@ -324,6 +324,7 @@ class TestSampleValidation:
         (np.float64(0.5), np.float64(1.0), "1-D"),
         (np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 0.5]), "non-negative"),
         (np.array([0.0, 1.0]), np.array([np.nan, 1.0]), "non-negative"),
+        (np.array([0.0, 1.0]), np.array([np.inf, 1.0]), "finite"),
     ])
     def test_rejected(self, values, weights, message):
         for call in self.calls(values, weights):
@@ -335,7 +336,9 @@ class TestSampleValidation:
         with pytest.raises(ValueError, match="3 values but 5 weights"):
             kolmogorov_distance(sample)
 
-    @pytest.mark.parametrize("weights", [[0.0, 0.0], [0.0, -0.0], [np.inf, 1.0]])
+    # finite weights can still sum to inf, which the summation reports
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [0.0, -0.0], [1e308, 1e308]])
     def test_no_distance_without_a_finite_positive_total(self, weights):
         # such a measure has no distribution function to compare
         with pytest.raises(ValueError, match="finite positive total"):

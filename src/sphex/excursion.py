@@ -154,10 +154,6 @@ class CriticalPoint:
     gradient_residual: float
     hessian_eigs: tuple[float, float]
 
-    @property
-    def morse_index(self) -> int:
-        return int(sum(1 for e in self.hessian_eigs if e < 0))
-
 
 @dataclass
 class CriticalPointSet:
@@ -473,17 +469,14 @@ def euler_characteristic_mesh(
 
 
 def sup_norm(
-    coeffs: CoefficientVector,
-    grid: Optional[SphereGrid] = None,
-    refine: bool = True,
+    coeffs: CoefficientVector, grid: Optional[SphereGrid] = None
 ) -> tuple[float, SpherePoint]:
     """Sup norm of the field and a point attaining it.
 
     Scans an iso-latitude grid of at least 40 ell^2 cells (or the supplied
     grid, which callers evaluating many replicates should construct once)
-    and, unless ``refine`` is disabled, polishes the best cell with a
-    curvature-aware ascent on the signed field.  The returned value is
-    never below the grid maximum.
+    and polishes the best cell with a curvature-aware ascent on the signed
+    field.  The returned value is never below the grid maximum.
     """
     level = coeffs.level
     if level.dim != 2:
@@ -499,41 +492,40 @@ def sup_norm(
     phi = float(np.arctan2(grid.points[best, 1], grid.points[best, 0]))
     result = abs(best_val)
     arg = SpherePoint(grid.points[best])
-    if refine:
-        tol = 1e-10 * max(1.0, ell * coeffs.radius)
-        step_cap = 0.5 * math.pi / ell
-        t, p = theta, phi
-        for _ in range(25):
-            val, g_t, g_p, h_tt, h_tp, h_pp = harmonics._frame_jet2(
-                coeffs, np.array([t]), np.array([p])
-            )
-            g = np.array([float(g_t[0]), float(g_p[0])])
-            if math.hypot(g[0], g[1]) <= tol:
-                break
-            hess = np.array(
-                [[float(h_tt[0]), float(h_tp[0])], [float(h_tp[0]), float(h_pp[0])]]
-            )
-            # Newton toward a maximum of sign * f; fall back to steepest
-            # ascent when the curvature is not usable
-            try:
-                step = np.linalg.solve(hess, -g)
-            except np.linalg.LinAlgError:
-                step = sign * g * (0.1 * step_cap / max(np.linalg.norm(g), 1e-300))
-            norm = float(np.linalg.norm(step))
-            if not math.isfinite(norm):
-                break
-            if norm > step_cap:
-                step *= step_cap / norm
-            t = t + float(step[0])
-            p = p + float(step[1]) / max(math.sin(t), 1e-12)
-            if t < 0:
-                t, p = -t, p + math.pi
-            elif t > math.pi:
-                t, p = 2.0 * math.pi - t, p + math.pi
-        final = float(evaluate(coeffs, SpherePoint.from_angles(t, p).coords))
-        if abs(final) > result:
-            result = abs(final)
-            arg = SpherePoint.from_angles(t, p)
+    tol = 1e-10 * max(1.0, ell * coeffs.radius)
+    step_cap = 0.5 * math.pi / ell
+    t, p = theta, phi
+    for _ in range(25):
+        val, g_t, g_p, h_tt, h_tp, h_pp = harmonics._frame_jet2(
+            coeffs, np.array([t]), np.array([p])
+        )
+        g = np.array([float(g_t[0]), float(g_p[0])])
+        if math.hypot(g[0], g[1]) <= tol:
+            break
+        hess = np.array(
+            [[float(h_tt[0]), float(h_tp[0])], [float(h_tp[0]), float(h_pp[0])]]
+        )
+        # Newton toward a maximum of sign * f; fall back to steepest
+        # ascent when the curvature is not usable
+        try:
+            step = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError:
+            step = sign * g * (0.1 * step_cap / max(np.linalg.norm(g), 1e-300))
+        norm = float(np.linalg.norm(step))
+        if not math.isfinite(norm):
+            break
+        if norm > step_cap:
+            step *= step_cap / norm
+        t = t + float(step[0])
+        p = p + float(step[1]) / max(math.sin(t), 1e-12)
+        if t < 0:
+            t, p = -t, p + math.pi
+        elif t > math.pi:
+            t, p = 2.0 * math.pi - t, p + math.pi
+    final = float(evaluate(coeffs, SpherePoint.from_angles(t, p).coords))
+    if abs(final) > result:
+        result = abs(final)
+        arg = SpherePoint.from_angles(t, p)
     return result, arg
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -150,10 +150,6 @@ class SphereGrid:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def sphere_points(self) -> Iterator[SpherePoint]:
-        for row in self.points:
-            yield SpherePoint(row)
-
 
 def _measured_min_separation(points: np.ndarray) -> float:
     """Geodesic nearest-neighbour distance, measured with a KD-tree."""
@@ -173,16 +169,13 @@ def _fibonacci_points(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def quasi_uniform_grid(
-    dim: int, count: int, rng: Optional[np.random.Generator] = None
-) -> SphereGrid:
+def quasi_uniform_grid(dim: int, count: int) -> SphereGrid:
     """Deterministic quasi-uniform point set with equal weights.
 
     On S^2 this is the Fibonacci spiral.  In higher dimensions there is no
     comparably cheap low-discrepancy construction, so points are drawn iid
-    uniform from a generator seeded by (dim, count); pass ``rng`` to draw
-    from an external stream instead.  Either way the output depends only on
-    the inputs.
+    uniform from a generator seeded by (dim, count); the output depends
+    only on the inputs.
     """
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
@@ -191,9 +184,8 @@ def quasi_uniform_grid(
     if dim == 2:
         pts = _fibonacci_points(count)
     else:
-        if rng is None:
-            seed = np.random.SeedSequence(entropy=0x5F3A9C11, spawn_key=(dim, count))
-            rng = np.random.Generator(np.random.Philox(seed))
+        seed = np.random.SeedSequence(entropy=0x5F3A9C11, spawn_key=(dim, count))
+        rng = np.random.Generator(np.random.Philox(seed))
         g = rng.standard_normal((count, dim + 1))
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         while np.any(norms == 0.0):  # pragma: no cover - probability zero
@@ -204,24 +196,20 @@ def quasi_uniform_grid(
     return SphereGrid(dim, pts, w, _measured_min_separation(pts))
 
 
-def iso_latitude_grid(
-    count: int, n_theta: Optional[int] = None, phi_factor: float = 2.0
-) -> SphereGrid:
+def iso_latitude_grid(count: int) -> SphereGrid:
     """Equal-area iso-latitude product grid on S^2 with >= count points.
 
     Rings sit at the colatitudes of equal-measure bands,
     cos(theta_i) = 1 - (2i + 1)/n_theta, each carrying the same uniform
     longitude lattice, so every point has weight 1/N.  The product
     structure is recorded in ``rings`` and enables separable (matrix
-    product) evaluation of harmonic expansions.
-
-    ``phi_factor`` controls the longitude/latitude resolution ratio; 2
+    product) evaluation of harmonic expansions.  There are about
+    sqrt(count / 2) rings, twice as many longitudes as colatitudes, which
     matches the 2:1 aspect of the (phi, theta) rectangle.
     """
     if count < 4:
         raise ValueError(f"count must be >= 4, got {count}")
-    if n_theta is None:
-        n_theta = max(2, round(math.sqrt(count / phi_factor)))
+    n_theta = max(2, round(math.sqrt(count / 2.0)))
     n_phi = max(3, int(math.ceil(count / n_theta)))
     i = np.arange(n_theta, dtype=float)
     cos_t = 1.0 - (2.0 * i + 1.0) / n_theta
@@ -290,7 +278,6 @@ class SphereMesh:
     vertices: np.ndarray
     faces: np.ndarray
     edges: np.ndarray = field(init=False)
-    subdivision_level: int = 0
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -342,7 +329,7 @@ def icosphere(subdivision: int) -> SphereMesh:
     verts, faces = _icosahedron()
     for _ in range(subdivision):
         verts, faces = _subdivide(verts, faces)
-    return SphereMesh(vertices=verts, faces=faces, subdivision_level=subdivision)
+    return SphereMesh(vertices=verts, faces=faces)
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -337,7 +337,7 @@ class TestSampleValidation:
         with pytest.raises(ValueError, match="3 values but 5 weights"):
             kolmogorov_distance(sample)
 
-    # finite weights can still sum to inf, which the summation reports
+    # [1e308, 1e308]: finite weights whose sum overflows, which numpy warns of
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("weights", [[0.0, 0.0], [0.0, -0.0], [1e308, 1e308]])
     def test_no_distance_without_a_finite_positive_total(self, weights):

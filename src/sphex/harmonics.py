@@ -608,10 +608,11 @@ class GramSimulator:
     """Cholesky-based simulator of the Gaussian field at a fixed point set.
 
     The Gram matrix has rank at most the eigenspace dimension, so for
-    point counts beyond that a diagonal jitter is unavoidable; it is
-    escalated from 1e-12 by factors of 10 up to 1e-8 and the value used is
-    kept in ``jitter``.  Failure beyond the ceiling raises
-    ``GeometryError`` (degenerate geometry, e.g. duplicated points).
+    point counts beyond that a diagonal jitter is unavoidable.  The
+    factorization is tried first with no jitter, then with 1e-12 escalated
+    by factors of 10 up to 1e-8 (``_LADDER``); the value used is kept in
+    ``jitter``.  Failure beyond the ceiling raises ``GeometryError``
+    (degenerate geometry, e.g. duplicated points).
     Samples carry the grid's weights when ``points`` is a ``SphereGrid``
     and uniform weights otherwise.
     """
@@ -632,7 +633,10 @@ class GramSimulator:
             points.weights if isinstance(points, SphereGrid)
             else np.full(n_pts, 1.0 / n_pts)
         )
-        gram = gegenbauer(level.ell, level.dim, np.clip(pts @ pts.T, -1.0, 1.0))
+        cosines = pts @ pts.T
+        np.clip(cosines, -1.0, 1.0, out=cosines)
+        gram = gegenbauer(level.ell, level.dim, cosines)
+        del cosines  # one N x N array fewer alive during the factorization
         self.jitter = 0.0
         self._chol = None
         for jit in self._LADDER:

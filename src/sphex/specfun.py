@@ -39,6 +39,7 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_INT64 = 2**63 - 1
+_KERNEL_BLOCK = 32768  # elements per block of gegenbauer's recurrence
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -135,25 +136,43 @@ def gegenbauer(ell: int, dim: int, t: ArrayLike) -> ArrayLike:
     which keeps |G| <= 1 on [-1, 1].  ``t`` may be a scalar or array;
     values with |t| > 1 + 1e-9 raise ``ValueError`` (smaller excursions,
     which arise from rounded inner products, are clipped to [-1, 1]).
+
+    The recurrence runs over blocks of ``_KERNEL_BLOCK`` elements of the
+    flattened input with in-place ufuncs, so an N x N argument costs one
+    C-contiguous output and a few cache-sized buffers; each element sees
+    the same floating-point operations in the same order as the formula.
     """
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     arr, scalar = _as_float_array(t)
-    if np.any(np.abs(arr) > 1.0 + 1e-9):
-        bad = np.max(np.abs(arr))
-        raise ValueError(f"|t| must be <= 1 (max |t| = {bad:.3e})")
-    x = np.clip(arr, -1.0, 1.0)
-    if ell == 0:
-        out = np.ones_like(x)
-        return float(out) if scalar else out
-    prev = np.ones_like(x)
-    cur = x.copy()
-    for k in range(2, ell + 1):
-        nxt = ((2 * k + dim - 3) * x * cur - (k - 1) * prev) / (k + dim - 2)
-        prev, cur = cur, nxt
-    return float(cur) if scalar else cur
+    out = np.empty(arr.shape)
+    src = arr.reshape(-1)  # a view unless ``t`` is a non-contiguous array
+    dst = out.reshape(-1)
+    buffers = np.empty((4, min(src.size, _KERNEL_BLOCK)))
+    for start in range(0, src.size, _KERNEL_BLOCK):
+        block = src[start : start + _KERNEL_BLOCK]
+        x, p, c, s = buffers[:, : block.size]
+        if np.any(np.abs(block, out=s) > 1.0 + 1e-9):
+            bad = np.max(np.abs(arr))
+            raise ValueError(f"|t| must be <= 1 (max |t| = {bad:.3e})")
+        np.clip(block, -1.0, 1.0, out=x)
+        if ell == 0:
+            c.fill(1.0)
+        else:
+            p.fill(1.0)
+            np.copyto(c, x)
+        for k in range(2, ell + 1):
+            # ((2k + d - 3) * x * cur - (k - 1) * prev) / (k + d - 2)
+            np.multiply(2 * k + dim - 3, x, out=s)
+            np.multiply(s, c, out=s)
+            np.multiply(k - 1, p, out=p)
+            np.subtract(s, p, out=p)
+            np.divide(p, k + dim - 2, out=p)
+            p, c = c, p
+        dst[start : start + block.size] = c
+    return float(out) if scalar else out
 
 
 def bessel_j(order: float, x: ArrayLike) -> ArrayLike:

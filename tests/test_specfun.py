@@ -7,12 +7,15 @@ tails, and finite differences for derivative ladders.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special as sps
 
+from sphex.harmonics import GramSimulator
 from sphex.specfun import (
+    _KERNEL_BLOCK,
     CriticalKind,
     HarmonicLevel,
     bessel_j,
@@ -171,6 +174,111 @@ class TestGegenbauer:
     def test_clipping_tolerance(self):
         # round-off just past the endpoints is forgiven
         assert gegenbauer(3, 2, 1.0 + 1e-12) == pytest.approx(1.0)
+
+
+def gegenbauer_unblocked(ell: int, dim: int, t):
+    """The whole-array recurrence ``gegenbauer`` ran before blocking, an oracle.
+
+    ``specfun.gegenbauer`` must reproduce it bit for bit: the same
+    floating-point operations per element, only the buffers differ.
+    """
+    arr = np.asarray(t, dtype=float)
+    scalar = arr.ndim == 0
+    if np.any(np.abs(arr) > 1.0 + 1e-9):
+        bad = np.max(np.abs(arr))
+        raise ValueError(f"|t| must be <= 1 (max |t| = {bad:.3e})")
+    x = np.clip(arr, -1.0, 1.0)
+    if ell == 0:
+        out = np.ones_like(x)
+        return float(out) if scalar else out
+    prev = np.ones_like(x)
+    cur = x.copy()
+    for k in range(2, ell + 1):
+        nxt = ((2 * k + dim - 3) * x * cur - (k - 1) * prev) / (k + dim - 2)
+        prev, cur = cur, nxt
+    return float(cur) if scalar else cur
+
+
+def _kernel_inputs(seed: int) -> list:
+    """Arguments that start, end and straddle blocks, in several layouts."""
+    b = _KERNEL_BLOCK
+    rng = np.random.default_rng(seed)
+
+    def cosines(shape):
+        # includes the endpoints, 0 and round-off just past +-1 (clipped)
+        t = rng.uniform(-1.0, 1.0, shape)
+        t.flat[:5] = (1.0, -1.0, 0.0, 1.0 + 1e-10, -1.0 - 1e-10)[: t.size]
+        return t
+
+    flat = [cosines(n) for n in (0, 1, b - 1, b, b + 1, 3 * b + 5)]
+    square = cosines((200, 300))
+    return flat + [square, square.T, square[::3, 1::2], cosines(2 * b)[::2]]
+
+
+class TestGegenbauerKernel:
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3, 8, 16, 64])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 7])
+    def test_bit_identical_to_unblocked(self, ell, dim):
+        for t in _kernel_inputs(100 * ell + dim):
+            got = gegenbauer(ell, dim, t)
+            want = gegenbauer_unblocked(ell, dim, t)
+            assert got.shape == t.shape
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+        got = gegenbauer(ell, dim, 0.3)
+        assert type(got) is float
+        assert got == gegenbauer_unblocked(ell, dim, 0.3)
+
+    @pytest.mark.parametrize("value", [1.1, -1.1])
+    def test_refused_in_last_partial_block(self, value):
+        t = np.zeros(3 * _KERNEL_BLOCK + 5)
+        t[-1] = value
+        with pytest.raises(ValueError) as info:
+            gegenbauer(5, 3, t)
+        assert str(info.value) == "|t| must be <= 1 (max |t| = 1.100e+00)"
+
+    def test_refusal_reports_the_whole_input(self):
+        # the bad value is in the first block, the largest in a later one
+        t = np.zeros(3 * _KERNEL_BLOCK + 5)
+        t[0], t[-2] = 1.01, -1.5
+        with pytest.raises(ValueError, match=r"max \|t\| = 1\.500e\+00\)$"):
+            gegenbauer(5, 3, t)
+
+    def test_nan_as_unblocked(self):
+        t = np.linspace(-1.0, 1.0, 2 * _KERNEL_BLOCK + 7)
+        t[[0, _KERNEL_BLOCK, -1]] = np.nan
+        for ell in (0, 1, 5):
+            want = gegenbauer_unblocked(ell, 3, t)
+            assert np.array_equal(gegenbauer(ell, 3, t), want, equal_nan=True)
+        # a NaN is not refused, so the reported maximum is NaN, as before
+        t[-2] = 1.1
+        with pytest.raises(ValueError, match=r"max \|t\| = nan\)$"):
+            gegenbauer(5, 3, t)
+
+    def test_round_off_clipped_in_every_block(self):
+        t = np.full(3 * _KERNEL_BLOCK + 5, 1.0 + 1e-12)
+        assert np.all(gegenbauer(7, 3, t) == 1.0)
+        assert np.all(gegenbauer(7, 3, -t) == -1.0)
+
+    def test_peak_memory_is_the_output(self):
+        t = np.random.default_rng(5).uniform(-1.0, 1.0, (1500, 1500))
+        tracemalloc.start()
+        try:
+            out = gegenbauer(16, 3, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 2**20
+
+    def test_gram_simulator_factor(self):
+        # d=3, l=4: n=25 << 600 points, so the factor needs the jitter ladder
+        level = HarmonicLevel(4, 3)
+        pts = np.random.default_rng(6).standard_normal((600, 4))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        sim = GramSimulator(level, pts)
+        gram = gegenbauer_unblocked(4, 3, np.clip(pts @ pts.T, -1.0, 1.0))
+        np.fill_diagonal(gram, 1.0 + sim.jitter)
+        assert np.array_equal(sim._chol, np.linalg.cholesky(gram))
 
 
 class TestGegenbauerHilb:

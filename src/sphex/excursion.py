@@ -128,7 +128,8 @@ def kolmogorov_distance(sample: FieldSample, scale: float = 1.0) -> float:
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive, got {scale}")
     values, weights = _values_weights(sample)
-    v_sorted, cum = _sorted_mass(values, weights)
+    with np.errstate(over="ignore"):  # an overflowing total is refused below
+        v_sorted, cum = _sorted_mass(values, weights)
     if not 0 < cum[-1] < math.inf:
         raise ValueError(
             f"the weights must have a finite positive total, got {cum[-1]}"

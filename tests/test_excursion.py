@@ -10,6 +10,7 @@ analysis of the critical parallels).
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -337,13 +338,20 @@ class TestSampleValidation:
         with pytest.raises(ValueError, match="3 values but 5 weights"):
             kolmogorov_distance(sample)
 
-    # [1e308, 1e308]: finite weights whose sum overflows, which numpy warns of
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    # [1e308, 1e308]: finite weights whose sum overflows
     @pytest.mark.parametrize("weights", [[0.0, 0.0], [0.0, -0.0], [1e308, 1e308]])
     def test_no_distance_without_a_finite_positive_total(self, weights):
         # such a measure has no distribution function to compare
         with pytest.raises(ValueError, match="finite positive total"):
             kolmogorov_distance(([0.0, 1.0], weights))
+
+    def test_overflowing_total_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                kolmogorov_distance(([0.0, 1.0], [1e308, 1e308]))
+        assert str(info.value) == (
+            "the weights must have a finite positive total, got inf")
 
     def test_zero_measure_has_zero_volumes(self):
         assert excursion_volume(([0.0, 1.0], [0.0, 0.0]), 0.5) == 0.0

@@ -5,10 +5,9 @@ Submodules:
 
 - ``specfun``: eigenspace dimensions, Gegenbauer/Bessel evaluation with
   uniform asymptotics, Gaussian marginals, critical value densities.
-- ``sphere_geom``: points, quadrature grids, separated point sets and
-  icosphere meshes on S^d.
+- ``sphere_geom``: points, quadrature grids and icosphere meshes on S^d.
 - ``harmonics``: coefficient sampling (uniform, Gaussian, perturbed),
-  field evaluation, derivatives, Gram-matrix simulation, seeded streams.
+  field evaluation, Gram-matrix simulation, seeded streams.
 - ``excursion``: excursion volumes, Kolmogorov distance, critical point
   finding and classification, Euler characteristics, sup norms.
 - ``theory``: closed-form bounds, limits and rate constants.

@@ -58,19 +58,26 @@ def excursion_volume(sample: FieldSample, u) -> Union[float, np.ndarray]:
     calls on identical inputs are bit-identical.
 
     Raises ``ValueError`` unless values and weights are non-empty 1-D
-    arrays of equal length and the weights are finite and non-negative.
+    arrays of equal length, the weights finite and non-negative with a
+    finite total (finite weights can still sum to inf).
     """
     values, weights = _values_weights(sample)
     u_arr = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing total is refused below
+        if u_arr.size > 4:
+            v_sorted, cum = _sorted_mass(values, weights)
+            total = cum[-1]
+        else:
+            total = weights.sum()
+    if total == math.inf:
+        raise ValueError(f"the weights must have a finite total, got {total}")
     if u_arr.ndim == 0:
         return float(np.dot(weights, (values >= u_arr).astype(float)))
     if u_arr.size <= 4:
         counts = [np.dot(weights, (values >= v).astype(float)) for v in u_arr.flat]
         return np.array(counts).reshape(u_arr.shape)
-    v_sorted, cum = _sorted_mass(values, weights)
     prefix = np.concatenate([[0.0], cum])
     idx = np.searchsorted(v_sorted, u_arr, side="left")
-    total = prefix[-1]
     return total - prefix[idx]
 
 

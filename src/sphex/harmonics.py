@@ -36,18 +36,14 @@ from .specfun import HarmonicLevel, gegenbauer
 from .sphere_geom import SphereGrid, SpherePoint, as_point_array
 
 __all__ = [
-    "ChartError",
     "CoefficientVector",
     "FieldSample",
     "GeometryError",
     "GramSimulator",
     "NonGaussianModel",
     "coefficients_csv_text",
-    "covariance",
     "evaluate",
     "evaluate_grid",
-    "frame_gradient",
-    "gradient_hessian",
     "read_coefficients_csv",
     "sample_gaussian",
     "sample_nongaussian",
@@ -55,16 +51,10 @@ __all__ = [
     "sample_unit_coefficients",
     "stream",
     "write_coefficients_csv",
-    "ylm",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_POLE_BAND = 1.0 - 1e-8
 _JET_BLOCK = 2048  # points per block of _frame_jet2
-
-
-class ChartError(ValueError):
-    """Raised when an operation needs the polar chart too close to a pole."""
 
 
 class GeometryError(RuntimeError):
@@ -251,9 +241,9 @@ def _check_s2(level: HarmonicLevel) -> None:
 def _basis_matrix(ell: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Orthonormal real basis values, shape (N, 2*ell+1).
 
-    Column layout (1-based slot index used by ``ylm``): slot 1 is the
-    zonal function, slot 2m the cosine harmonic of order m, slot 2m+1 the
-    sine harmonic of order m.
+    Column layout (1-based slot index, the ``m`` column of the coefficient
+    CSV): slot 1 is the zonal function, slot 2m the cosine harmonic of
+    order m, slot 2m+1 the sine harmonic of order m.
     """
     p_l = _legendre_rows(ell, np.cos(theta), depth=1)[0]
     n_pts = theta.shape[0]
@@ -303,20 +293,6 @@ def _rotated_coefficients(
     alpha = basis.T @ (weights * target)
     norm = float(np.linalg.norm(alpha))
     return CoefficientVector(coeffs.level, alpha / norm, coeffs.radius)
-
-
-def ylm(level: HarmonicLevel, m: int, point: Union[SpherePoint, np.ndarray]) -> float:
-    """Single real basis function on S^2, slot index m in 1..2*ell+1.
-
-    Slot 1 is zonal; even slots are cosine harmonics of order m//2, odd
-    slots >= 3 the matching sine harmonics.
-    """
-    _check_s2(level)
-    if not 1 <= m <= 2 * level.ell + 1:
-        raise ValueError(f"m must lie in 1..{2 * level.ell + 1}, got {m}")
-    pts = as_point_array(point)
-    theta, phi = _angles_of(pts)
-    return float(_basis_matrix(level.ell, theta, phi)[0, m - 1])
 
 
 def evaluate(
@@ -383,22 +359,6 @@ def evaluate_grid(coeffs: CoefficientVector, grid: SphereGrid) -> np.ndarray:
     vals += (scaled * a[1::2][None, :]) @ cos_lat
     vals += (scaled * a[2::2][None, :]) @ sin_lat
     return coeffs.radius * vals.ravel()
-
-
-def frame_gradient(
-    coeffs: CoefficientVector, points: Union[np.ndarray, Sequence[SpherePoint]]
-) -> np.ndarray:
-    """Gradient components (g_theta, g_phi) in the orthonormal polar frame.
-
-    Shape (N, 2).  The division by sin(theta) is floored at 1e-12 rather
-    than raised on, because batched Newton searches may graze the poles
-    transiently; callers needing the strict chart contract should go
-    through ``gradient_hessian``.
-    """
-    _check_s2(coeffs.level)
-    pts = as_point_array(points)
-    _, g_t, g_p, _, _, _ = _frame_jet2(coeffs, *_angles_of(pts))
-    return np.column_stack([g_t, g_p])
 
 
 def _jet_rows(
@@ -545,47 +505,9 @@ def _ring_jet2(
     return tuple(q.ravel() for q in (val, g_t, g_p, h_tt, h_tp, h_pp))
 
 
-def gradient_hessian(
-    coeffs: CoefficientVector, point: Union[SpherePoint, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frame gradient and covariant Hessian at a single point on S^2.
-
-    Both come from the analytic jet ``_frame_jet2``, with the Hessian's
-    components taken in the orthonormal frame (e_theta, e_phi).  Points
-    with |cos theta| >= 1 - 1e-8 raise ``ChartError``: the polar chart
-    degenerates there and callers are expected to work in a rotated frame
-    instead.
-    """
-    _check_s2(coeffs.level)
-    pts = as_point_array(point)
-    if pts.shape[0] != 1:
-        raise ValueError("gradient_hessian expects a single point")
-    theta, phi = _angles_of(pts)
-    t0 = float(theta[0])
-    if abs(math.cos(t0)) >= _POLE_BAND:
-        raise ChartError(
-            f"point with |cos theta| = {abs(math.cos(t0)):.12f} is inside the "
-            "polar band; rotate the frame before differentiating"
-        )
-    _, g_t, g_p, h_tt, h_tp, h_pp = _frame_jet2(coeffs, theta, phi)
-    grad = np.array([g_t[0], g_p[0]])
-    hess = np.array([[h_tt[0], h_tp[0]], [h_tp[0], h_pp[0]]])
-    return grad, hess
-
-
 # ---------------------------------------------------------------------------
-# covariance and Gram-based simulation
+# field samples and Gram-based simulation
 # ---------------------------------------------------------------------------
-
-
-def covariance(level: HarmonicLevel, x, y) -> Union[float, np.ndarray]:
-    """Ensemble covariance E[T(x) T(y)] = G_ell(<x, y>)."""
-    xa = as_point_array(x)
-    ya = as_point_array(y)
-    dots = np.clip(np.sum(xa * ya, axis=-1), -1.0, 1.0)
-    vals = gegenbauer(level.ell, level.dim, dots)
-    vals = np.asarray(vals)
-    return float(vals[0]) if vals.shape == (1,) else vals
 
 
 class FieldSample(NamedTuple):

@@ -522,6 +522,7 @@ def _run_kol_decay(record: ExperimentRecord) -> None:
                 purpose, lambda rng: kolmogorov_distance(sim.sample(rng))
             )
             entry["jitter"] = sim.jitter
+            del sim  # free its N x N factor before the next cell's Gram is built
         mean, se = _mean_se(dists)
         cell.row("kol_decay", None, None, mean, se, float(ell) ** (-rate_ell))
         n = cell.level.n

@@ -34,7 +34,6 @@ __all__ = [
     "gaussian",
     "gegenbauer",
     "gegenbauer_hilb",
-    "hilb_error_budget",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -284,30 +283,6 @@ def gegenbauer_hilb(ell: int, dim: int, theta: ArrayLike) -> ArrayLike:
     coef = math.exp(nu * math.log(2.0) - log_binom + log_a)
     s = np.sin(arr)
     vals = coef * s ** (-nu) * np.sqrt(arr / s) * bessel_j(nu, big_l * arr)
-    return float(vals) if scalar else vals
-
-
-def hilb_error_budget(
-    ell: int, dim: int, theta: ArrayLike, K: float = 1.0
-) -> ArrayLike:
-    """Unit-constant error budget for the Bessel main term.
-
-    Two regimes, split at theta = 1/(K*ell): above the split the remainder
-    scales like sqrt(theta) * ell^{-3/2}; below it like
-    theta^{d/2+1} * ell^{d/2-1}.  The returned budget carries constant 1 in
-    both regimes; it is meant for rate checks, not sharp certification.
-    """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if K <= 0:
-        raise ValueError(f"K must be > 0, got {K}")
-    arr, scalar = _as_float_array(theta)
-    if np.any(arr <= 0.0) or np.any(arr > math.pi / 2.0 + 1e-12):
-        raise ValueError("theta must lie in (0, pi/2]")
-    split = 1.0 / (K * ell)
-    inner = arr ** (dim / 2.0 + 1.0) * float(ell) ** (dim / 2.0 - 1.0)
-    outer = np.sqrt(arr) * float(ell) ** (-1.5)
-    vals = np.where(arr < split, inner, outer)
     return float(vals) if scalar else vals
 
 

@@ -3,38 +3,28 @@
 The evaluation-heavy parts of the package run on structured iso-latitude
 grids (rings of constant colatitude with a shared uniform longitude
 lattice), which factor the basis evaluation into matrix products.  The
-quasi-uniform and separated grids back the well-spaced node constructions,
+quasi-uniform grid is the point set of the Gram-based simulation on S^d,
 and the icosphere mesh drives the combinatorial Euler characteristic.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
-    "PackingError",
     "SphereGrid",
     "SphereMesh",
     "SpherePoint",
-    "export_grid_csv",
-    "geodesic_dist",
     "icosphere",
     "iso_latitude_grid",
     "quasi_uniform_grid",
-    "separated_grid",
 ]
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-
-class PackingError(RuntimeError):
-    """Raised when a separated grid cannot meet its separation target."""
 
 
 @dataclass(frozen=True)
@@ -63,12 +53,6 @@ class SpherePoint:
         st = math.sin(theta)
         return cls(np.array([st * math.cos(phi), st * math.sin(phi),
                              math.cos(theta)]))
-
-    @classmethod
-    def north_pole(cls, dim: int = 2) -> "SpherePoint":
-        c = np.zeros(dim + 1)
-        c[-1] = 1.0
-        return cls(c)
 
     @property
     def dim(self) -> int:
@@ -102,18 +86,6 @@ def as_point_array(points: Union[np.ndarray, Sequence[SpherePoint], "SphereGrid"
     return arr
 
 
-def geodesic_dist(x: np.ndarray, y: np.ndarray) -> Union[float, np.ndarray]:
-    """Geodesic (great-circle) distance between unit vectors.
-
-    Uses 2*arcsin(|x - y| / 2), which stays accurate for nearly parallel
-    and nearly antipodal pairs alike.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    chord = np.linalg.norm(x - y, axis=-1)
-    return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
-
-
 @dataclass
 class SphereGrid:
     """A weighted point set on S^dim.
@@ -130,7 +102,6 @@ class SphereGrid:
     dim: int
     points: np.ndarray
     weights: np.ndarray
-    min_separation: float
     rings: Optional[tuple[np.ndarray, np.ndarray]] = None
     _ring_tables: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -149,16 +120,6 @@ class SphereGrid:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-def _measured_min_separation(points: np.ndarray) -> float:
-    """Geodesic nearest-neighbour distance, measured with a KD-tree."""
-    if points.shape[0] < 2:
-        return float(math.pi)
-    tree = cKDTree(points)
-    dist, _ = tree.query(points, k=2)
-    chord = float(np.min(dist[:, 1]))
-    return 2.0 * math.asin(min(1.0, chord / 2.0))
 
 
 def _fibonacci_points(count: int) -> np.ndarray:
@@ -193,7 +154,7 @@ def quasi_uniform_grid(dim: int, count: int) -> SphereGrid:
             norms = np.linalg.norm(g, axis=1, keepdims=True)
         pts = g / norms
     w = np.full(count, 1.0 / count)
-    return SphereGrid(dim, pts, w, _measured_min_separation(pts))
+    return SphereGrid(dim, pts, w)
 
 
 def iso_latitude_grid(count: int) -> SphereGrid:
@@ -222,48 +183,7 @@ def iso_latitude_grid(count: int) -> SphereGrid:
     pts[:, 2] = np.repeat(np.cos(thetas), n_phi)
     n_total = n_theta * n_phi
     w = np.full(n_total, 1.0 / n_total)
-    # The phi lattices of all rings are aligned, so the nearest neighbour of
-    # any point is either the adjacent point on its own ring or the
-    # same-longitude point on an adjacent ring; the minimum over those two
-    # families is exact and avoids a KD-tree pass on multi-million grids.
-    within = 2.0 * np.arcsin(np.abs(st) * math.sin(math.pi / n_phi))
-    across = np.diff(thetas)
-    min_sep = float(min(within.min(), across.min() if across.size else math.pi))
-    return SphereGrid(2, pts, w, min_sep, rings=(thetas, phis))
-
-
-def separated_grid(ell: int, alpha: float, dim: int = 2) -> SphereGrid:
-    """Well-separated node set: ~ell^{dim*alpha} points, separation >= ell^{-alpha}.
-
-    Runs farthest-point (greedy maximin) selection on a fine quasi-uniform
-    candidate set until the target cardinality is reached, then verifies
-    the separation.  Raises ``PackingError`` if the achieved separation
-    falls short, reporting the achieved cardinality.
-    """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    target_sep = float(ell) ** (-alpha)
-    k = max(2, round(float(ell) ** (dim * alpha)))
-    n_cand = max(64 * k, 2048)
-    cand = quasi_uniform_grid(dim, n_cand).points
-    chosen = [0]
-    # squared chord distance to the selected set, maintained incrementally
-    d2 = np.sum((cand - cand[0]) ** 2, axis=1)
-    for _ in range(1, k):
-        nxt = int(np.argmax(d2))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((cand - cand[nxt]) ** 2, axis=1))
-    pts = cand[chosen]
-    sep = _measured_min_separation(pts)
-    if sep < target_sep:
-        raise PackingError(
-            f"separated_grid reached {len(chosen)} points but separation "
-            f"{sep:.4f} < target {target_sep:.4f} (ell={ell}, alpha={alpha})"
-        )
-    w = np.full(k, 1.0 / k)
-    return SphereGrid(dim, pts, w, sep)
+    return SphereGrid(2, pts, w, rings=(thetas, phis))
 
 
 @dataclass
@@ -293,12 +213,6 @@ class SphereMesh:
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
-
-    def max_edge_length(self) -> float:
-        a = self.vertices[self.edges[:, 0]]
-        b = self.vertices[self.edges[:, 1]]
-        return float(np.max(geodesic_dist(a, b)))
-
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     t = (1.0 + math.sqrt(5.0)) / 2.0
@@ -352,15 +266,3 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     ])
     return np.vstack([verts, mid]), new_faces
 
-
-def export_grid_csv(grid: SphereGrid, path: str) -> None:
-    """Write a grid as CSV with columns index, coordinates, weight."""
-    coord_names = [f"x{k}" for k in range(grid.dim + 1)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", *coord_names, "weight"])
-        for idx in range(len(grid)):
-            row = [idx]
-            row.extend(format(v, ".17g") for v in grid.points[idx])
-            row.append(format(grid.weights[idx], ".17g"))
-            writer.writerow(row)

@@ -33,7 +33,6 @@ from sphex.harmonics import (
     GeometryError,
     evaluate,
     evaluate_grid,
-    frame_gradient,
     sample_gaussian,
     stream,
 )
@@ -353,6 +352,19 @@ class TestSampleValidation:
         assert str(info.value) == (
             "the weights must have a finite positive total, got inf")
 
+    @pytest.mark.parametrize("levels", [0.5, [-1.0, 0.5], np.linspace(-1, 1, 6)])
+    def test_overflowing_total_has_no_volumes(self, levels):
+        # refused on the count route (up to four levels) and the sorted
+        # route alike, before numpy can warn about the overflow; a total
+        # just inside the float range is still answered
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite total, got inf"):
+                excursion_volume(([0.0, 1.0], [1e308, 1e308]), levels)
+            vols = excursion_volume(([0.0, 1.0], [1e308, 5e307]), levels)
+        expected = np.where(np.asarray(levels) <= 0.0, 1.5e308, 5e307)
+        assert np.allclose(vols, expected, rtol=1e-15, atol=0)
+
     def test_zero_measure_has_zero_volumes(self):
         assert excursion_volume(([0.0, 1.0], [0.0, 0.0]), 0.5) == 0.0
 
@@ -450,11 +462,12 @@ class TestFindCriticalPointsGeneric:
         cv = sample_gaussian(HarmonicLevel(6, 2), stream(15, 0, "resid"))
         cps = find_critical_points(cv)
         bound = 1e-8 * cv.level.ell * cv.radius
-        pts = np.array([p.position.coords for p in cps.points])
-        g = frame_gradient(cv, pts)
+        theta = np.array([p.position.theta for p in cps.points])
+        phi = np.array([p.position.phi for p in cps.points])
+        _, g_t, g_p, *_ = harmonics._frame_jet2(cv, theta, phi)
         for i, p in enumerate(cps.points):
             assert p.gradient_residual < bound
-            assert float(np.hypot(g[i, 0], g[i, 1])) < 10 * bound
+            assert float(np.hypot(g_t[i], g_p[i])) < 10 * bound
 
     def test_scale_invariance(self):
         cv = sample_gaussian(HarmonicLevel(5, 2), stream(16, 0, "scale"))

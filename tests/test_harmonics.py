@@ -14,20 +14,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from sphex.harmonics import (
-    ChartError,
     CoefficientVector,
     FieldSample,
     GramSimulator,
     NonGaussianModel,
     coefficients_csv_text,
-    covariance,
     evaluate,
     evaluate_grid,
-    frame_gradient,
-    gradient_hessian,
     read_coefficients_csv,
     sample_gaussian,
     sample_nongaussian,
@@ -35,7 +31,6 @@ from sphex.harmonics import (
     sample_unit_coefficients,
     stream,
     write_coefficients_csv,
-    ylm,
 )
 from sphex.harmonics import _frame_jet2, _legendre_rows
 from sphex.specfun import HarmonicLevel, gegenbauer
@@ -121,8 +116,8 @@ class TestYlm:
     def test_constant_level(self):
         lv = HarmonicLevel(0, 2)
         for theta, phi in ((0.3, 1.0), (2.0, -2.5)):
-            assert ylm(lv, 1, SpherePoint.from_angles(theta, phi)) == (
-                pytest.approx(1.0, abs=1e-14))
+            got = evaluate(unit_coeffs(lv, 1), SpherePoint.from_angles(theta, phi))
+            assert got == pytest.approx(1.0, abs=1e-14)
 
     def test_addition_theorem(self):
         rng = np.random.default_rng(11)
@@ -153,17 +148,9 @@ class TestYlm:
         b = np.asarray(evaluate(unit_coeffs(HarmonicLevel(5, 2), 2), pts))
         assert abs(float((a * b) @ w)) < 1e-10
 
-    def test_slot_range(self):
-        lv = HarmonicLevel(2, 2)
-        p = SpherePoint.from_angles(1.0, 0.3)
-        with pytest.raises(ValueError):
-            ylm(lv, 0, p)
-        with pytest.raises(ValueError):
-            ylm(lv, 6, p)
-
     def test_d3_unsupported(self):
         with pytest.raises(ValueError):
-            ylm(HarmonicLevel(2, 3), 1, np.array([1.0, 0, 0, 0]))
+            evaluate(unit_coeffs(HarmonicLevel(2, 3), 1), np.array([1.0, 0, 0, 0]))
 
 
 class TestEvaluate:
@@ -173,7 +160,7 @@ class TestEvaluate:
                 lv = HarmonicLevel(ell, 2)
                 cv = CoefficientVector(
                     lv, np.eye(lv.n)[0], radius=radius)
-                got = evaluate(cv, SpherePoint.north_pole())
+                got = evaluate(cv, SpherePoint.from_angles(0.0, 0.0))
                 assert got == pytest.approx(
                     radius * math.sqrt(2 * ell + 1), rel=1e-12)
 
@@ -314,9 +301,7 @@ def fd_hessian(cv, t0: float, p0: float) -> np.ndarray:
     offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h
     th = np.concatenate([t0 + offs, np.full(4, t0), [t0]])
     ph = np.concatenate([np.full(4, p0), p0 + offs, [p0]])
-    st = np.sin(th)
-    g = frame_gradient(
-        cv, np.column_stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)]))
+    g = np.column_stack(_frame_jet2(cv, th, ph)[1:3])
     w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
     d_theta = w @ g[0:4]      # d/dtheta of (g_t, g_p)
     d_phi = w @ g[4:8]        # d/dphi of (g_t, g_p)
@@ -326,6 +311,13 @@ def fd_hessian(cv, t0: float, p0: float) -> np.ndarray:
     h_tp = 0.5 * (d_theta[1] + d_phi[0] / sin_t - cot_t * g_p)
     h_pp = d_phi[1] / sin_t + cot_t * g_t
     return np.array([[d_theta[0], h_tp], [h_tp, h_pp]])
+
+
+def jet_at(cv, t0: float, p0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frame gradient and covariant frame Hessian at one point, by ``_frame_jet2``."""
+    _, g_t, g_p, h_tt, h_tp, h_pp = (
+        q[0] for q in _frame_jet2(cv, np.array([t0]), np.array([p0])))
+    return np.array([g_t, g_p]), np.array([[h_tt, h_tp], [h_tp, h_pp]])
 
 
 def legendre_rows_degree_major(ell: int, x: np.ndarray, depth: int) -> list:
@@ -411,17 +403,15 @@ class TestJets:
         def f(t, p):
             return evaluate(cv, SpherePoint.from_angles(t, p))
 
-        g = frame_gradient(
-            cv, np.array([SpherePoint.from_angles(t, p).coords
-                          for t, p in zip(theta, phi)]))
+        _, g_t, g_p, *_ = _frame_jet2(cv, theta, phi)
         for i, (t, p) in enumerate(zip(theta, phi)):
             # 4th-order central differences in each angle
             w = np.array([1.0, -8.0, 8.0, -1.0]) / (12 * h)
             offs = np.array([-2 * h, -h, h, 2 * h])
             f_t = float(w @ [f(t + o, p) for o in offs])
             f_p = float(w @ [f(t, p + o) for o in offs])
-            assert g[i, 0] == pytest.approx(f_t, abs=tol)
-            assert g[i, 1] == pytest.approx(f_p / math.sin(t), abs=tol)
+            assert g_t[i] == pytest.approx(f_t, abs=tol)
+            assert g_p[i] == pytest.approx(f_p / math.sin(t), abs=tol)
 
     def test_hessian_vs_value_fd(self):
         # covariant Hessian from values only, as an independent route
@@ -433,7 +423,7 @@ class TestJets:
             return evaluate(cv, SpherePoint.from_angles(t, p))
 
         for t0, p0 in ((0.8, 0.3), (1.4, -2.0), (2.2, 1.1)):
-            grad, hess = gradient_hessian(cv, SpherePoint.from_angles(t0, p0))
+            _, hess = jet_at(cv, t0, p0)
             f_tt = (f(t0 + h, p0) - 2 * f(t0, p0) + f(t0 - h, p0)) / h**2
             f_pp = (f(t0, p0 + h) - 2 * f(t0, p0) + f(t0, p0 - h)) / h**2
             f_tp = (f(t0 + h, p0 + h) - f(t0 + h, p0 - h)
@@ -457,9 +447,8 @@ class TestJets:
             cv = sample_gaussian(lv, stream(23, ell, "lap"))
             lam = ell * (ell + 1)
             for t0, p0 in ((0.7, 0.0), (1.3, 2.2), (2.5, -0.8)):
-                p = SpherePoint.from_angles(t0, p0)
-                _, hess = gradient_hessian(cv, p)
-                val = evaluate(cv, p)
+                _, hess = jet_at(cv, t0, p0)
+                val = evaluate(cv, SpherePoint.from_angles(t0, p0))
                 assert float(np.trace(hess)) == pytest.approx(
                     -lam * val, abs=1e-3 * lam * cv.radius)
 
@@ -472,7 +461,7 @@ class TestJets:
             phi = rng.uniform(-math.pi, math.pi, size=20)
             scale = ell * (ell + 1) * cv.radius
             for t0, p0 in zip(theta, phi):
-                _, hess = gradient_hessian(cv, SpherePoint.from_angles(t0, p0))
+                _, hess = jet_at(cv, t0, p0)
                 np.testing.assert_allclose(
                     hess, fd_hessian(cv, t0, p0), rtol=0, atol=1e-9 * scale)
 
@@ -487,50 +476,61 @@ class TestJets:
             scale = lam * cv.radius
             for t0 in (2e-4, 1e-3, math.pi - 1e-3):
                 for p0 in (0.0, 1.1, -2.5):
-                    p = SpherePoint.from_angles(t0, p0)
-                    _, hess = gradient_hessian(cv, p)
+                    _, hess = jet_at(cv, t0, p0)
                     np.testing.assert_allclose(
                         hess, fd_hessian(cv, t0, p0), rtol=0, atol=1e-5 * scale)
                     assert float(np.trace(hess)) == pytest.approx(
-                        -lam * evaluate(cv, p), abs=1e-7 * scale)
+                        -lam * evaluate(cv, SpherePoint.from_angles(t0, p0)),
+                        abs=1e-7 * scale)
 
     def test_constant_field_jets(self):
         lv = HarmonicLevel(0, 2)
         cv = CoefficientVector(lv, np.array([1.0]), radius=2.0)
-        grad, hess = gradient_hessian(cv, SpherePoint.from_angles(1.0, 0.5))
+        grad, hess = jet_at(cv, 1.0, 0.5)
         assert np.allclose(grad, 0.0, atol=1e-12)
         assert np.allclose(hess, 0.0, atol=1e-9)
 
-    def test_pole_chart_error(self):
-        cv = sample_gaussian(HarmonicLevel(3, 2), stream(24, 0, "pole"))
-        with pytest.raises(ChartError):
-            gradient_hessian(cv, SpherePoint.north_pole())
-        with pytest.raises(ChartError):
-            gradient_hessian(cv, SpherePoint.from_angles(math.pi, 0.0))
+
+def basis_covariance(level: HarmonicLevel, x, y) -> float:
+    """E[T(x) T(y)] from the explicit basis.
+
+    Gaussian coefficients have covariance I/n, so the ensemble covariance
+    is the mean over the slots of Y_m(x) Y_m(y).
+    """
+    pts = np.vstack([np.asarray(x), np.asarray(y)])
+    vals = np.array([evaluate(unit_coeffs(level, m), pts)
+                     for m in range(1, level.n + 1)])
+    return float(np.mean(vals[:, 0] * vals[:, 1]))
 
 
 class TestCovariance:
+    # the covariance function of the ensemble is gegenbauer(ell, d, <x, y>)
     def test_diagonal_is_one(self):
         lv = HarmonicLevel(7, 2)
-        p = SpherePoint.from_angles(0.8, 0.1)
-        assert covariance(lv, p, p) == pytest.approx(1.0, abs=1e-12)
+        p = SpherePoint.from_angles(0.8, 0.1).coords
+        assert gegenbauer(lv.ell, lv.dim, p @ p) == pytest.approx(1.0, abs=1e-12)
+        assert basis_covariance(lv, p, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_legendre_d2(self):
         lv = HarmonicLevel(5, 2)
-        x = SpherePoint.north_pole()
+        x = SpherePoint.from_angles(0.0, 0.0).coords
         for theta in (0.2, 1.0, 2.8):
-            y = SpherePoint.from_angles(theta, 0.0)
+            y = SpherePoint.from_angles(theta, 0.0).coords
             coef = np.zeros(6)
             coef[5] = 1.0
             expected = np.polynomial.legendre.legval(math.cos(theta), coef)
-            assert covariance(lv, x, y) == pytest.approx(expected, abs=1e-12)
+            assert gegenbauer(lv.ell, lv.dim, x @ y) == pytest.approx(
+                expected, abs=1e-12)
+            assert basis_covariance(lv, x, y) == pytest.approx(expected, abs=1e-12)
 
     def test_equals_gegenbauer_general_d(self):
         lv = HarmonicLevel(4, 5)
         x = np.eye(6)[0]
         y = (np.eye(6)[0] + np.eye(6)[1]) / math.sqrt(2)
-        assert covariance(lv, x, y) == pytest.approx(
-            gegenbauer(4, 5, 1 / math.sqrt(2)), abs=1e-14)
+        lam = (lv.dim - 1) / 2.0
+        expected = (special.eval_gegenbauer(lv.ell, lam, 1 / math.sqrt(2))
+                    / special.eval_gegenbauer(lv.ell, lam, 1.0))
+        assert gegenbauer(lv.ell, lv.dim, x @ y) == pytest.approx(expected, abs=1e-14)
 
     def test_monte_carlo_two_points(self):
         lv = HarmonicLevel(4, 2)
@@ -539,7 +539,7 @@ class TestCovariance:
         sim = GramSimulator(lv, np.vstack([x, y]))
         rng = stream(30, 0, "cov.mc")
         draws = np.array([sim.sample(rng).values for _ in range(10_000)])
-        target = covariance(lv, x, y)
+        target = gegenbauer(lv.ell, lv.dim, x @ y)
         est = float(np.mean(draws[:, 0] * draws[:, 1]))
         se = math.sqrt((1.0 + target**2) / draws.shape[0])
         assert abs(est - target) < 4 * se

@@ -12,12 +12,13 @@ import hashlib
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from sphex import theory
+from sphex import harness, theory
 from sphex.harness import (
     CSV_HEADER,
     KINDS,
@@ -357,6 +358,22 @@ class TestKolDecay:
                         if r.kind == "kol_decay_exceedance" and r.epsilon >= 1.0]
         assert len(vacuous_rows) == 5
         assert all(r.estimate == 0.0 for r in vacuous_rows)
+
+    def test_d3_cell_frees_its_simulator_before_the_next(self, monkeypatch):
+        # each simulator holds an N x N factor, so two alive at once double
+        # the peak memory of a d >= 3 sweep
+        built, alive_at_build = [], []
+
+        class TrackedSimulator(harness.GramSimulator):
+            def __init__(self, level, points):
+                alive_at_build.append(sum(ref() is not None for ref in built))
+                super().__init__(level, points)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(harness, "GramSimulator", TrackedSimulator)
+        run_experiment(small_config(kind="kol_decay", ell_list=[2, 3, 4], dim=3,
+                                    replicates=30))
+        assert alive_at_build == [0, 0, 0]
 
 
 class TestSupnorm:

@@ -26,7 +26,6 @@ from sphex.specfun import (
     gaussian,
     gegenbauer,
     gegenbauer_hilb,
-    hilb_error_budget,
 )
 
 
@@ -316,14 +315,13 @@ class TestGegenbauerHilb:
             gegenbauer_hilb(10, 2, 2.0)
 
     def test_error_budget_regimes(self):
+        # away from the pole the remainder of the Bessel main term scales
+        # like sqrt(theta) * ell^{-3/2}; at theta = 1 it stays within 50
+        # times that budget
         ell = 64
-        small = hilb_error_budget(ell, 2, 1e-4)
-        large = hilb_error_budget(ell, 2, 1.0)
-        assert small > 0 and large > 0
-        # the wide-angle budget dominates the measured error scale
         exact = gegenbauer(ell, 2, math.cos(1.0))
         approx = gegenbauer_hilb(ell, 2, 1.0)
-        assert abs(approx - exact) <= 50 * large
+        assert abs(approx - exact) <= 50 * 64**-1.5
 
 
 class TestBesselJ:

@@ -1,39 +1,22 @@
-"""Point sets, meshes and geodesic utilities.
+"""Point sets and meshes.
 
-Separation claims are checked against brute-force pairwise scans, mesh
-combinatorics against hand-counted icosahedron numbers, and cubature
-against the exact normalization of the harmonic basis.
+Mesh combinatorics are checked against hand-counted icosahedron numbers,
+and cubature against the exact normalization of the harmonic basis.
 """
 
-import csv
 import math
 
 import numpy as np
 import pytest
 
-from sphex import sphere_geom
-from sphex.harmonics import ylm
+from sphex.harmonics import CoefficientVector, evaluate
 from sphex.specfun import HarmonicLevel, gegenbauer
 from sphex.sphere_geom import (
-    PackingError,
-    SphereGrid,
     SpherePoint,
-    export_grid_csv,
-    geodesic_dist,
     icosphere,
     iso_latitude_grid,
     quasi_uniform_grid,
-    separated_grid,
 )
-
-
-def pairwise_min_geodesic(points: np.ndarray) -> float:
-    """O(N^2) oracle for the closest pair, independent of the KD-tree path."""
-    best = math.pi
-    for i in range(len(points) - 1):
-        d = geodesic_dist(points[i + 1:], points[i])
-        best = min(best, float(np.min(d)))
-    return best
 
 
 class TestSpherePoint:
@@ -42,11 +25,6 @@ class TestSpherePoint:
         assert p.theta == pytest.approx(0.7, abs=1e-12)
         assert p.phi == pytest.approx(2.1, abs=1e-12)
         assert np.linalg.norm(p.coords) == pytest.approx(1.0, abs=1e-15)
-
-    def test_north_pole(self):
-        p = SpherePoint.north_pole(3)
-        assert p.dim == 3
-        assert p.coords[-1] == 1.0
 
     def test_norm_validation(self):
         with pytest.raises(ValueError):
@@ -57,30 +35,6 @@ class TestSpherePoint:
     def test_array_protocol(self):
         p = SpherePoint.from_angles(1.0, 0.0)
         assert np.asarray(p).shape == (3,)
-
-
-class TestGeodesicDist:
-    def test_identical_and_antipodal(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert geodesic_dist(e1, e1) == 0.0
-        assert geodesic_dist(e1, -e1) == pytest.approx(math.pi, abs=1e-12)
-
-    def test_orthogonal(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        e3 = np.array([0.0, 0.0, 1.0])
-        assert geodesic_dist(e1, e3) == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_matches_arc_parameterization(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        for ang in (1e-9, 1e-4, 0.5, 2.0, math.pi - 1e-6):
-            q = np.array([math.cos(ang), math.sin(ang), 0.0])
-            assert geodesic_dist(e1, q) == pytest.approx(ang, rel=1e-9, abs=1e-12)
-
-    def test_broadcasts(self):
-        pts = quasi_uniform_grid(2, 50).points
-        d = geodesic_dist(pts, pts[0])
-        assert d.shape == (50,)
-        assert d[0] == 0.0
 
 
 class TestQuasiUniformGrid:
@@ -107,11 +61,6 @@ class TestQuasiUniformGrid:
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.weights, b.weights)
 
-    def test_min_separation_is_measured(self):
-        g = quasi_uniform_grid(2, 300)
-        assert g.min_separation == pytest.approx(
-            pairwise_min_geodesic(g.points), abs=1e-12)
-
     def test_ylm_square_quadrature(self):
         # normalization oracle: the basis functions are unit-variance
         # against the uniform measure
@@ -119,7 +68,8 @@ class TestQuasiUniformGrid:
             g = quasi_uniform_grid(2, 20 * ell * ell)
             level = HarmonicLevel(ell, 2)
             for m in (1, 2, ell + 1, 2 * ell + 1):
-                vals = np.array([ylm(level, m, p) for p in g.points])
+                slot = CoefficientVector(level, np.eye(level.n)[m - 1])
+                vals = evaluate(slot, g.points)
                 assert float(g.weights @ vals**2) == pytest.approx(1.0, abs=1e-2)
 
     def test_zonal_equidistribution(self):
@@ -147,13 +97,6 @@ class TestIsoLatitudeGrid:
         thetas, phis = g.rings
         assert len(thetas) * len(phis) == len(g)
 
-    def test_min_separation_formula_matches_scan(self):
-        # analytic nearest-neighbour reasoning vs the O(N^2) oracle
-        for count in (60, 500, 2400):
-            g = iso_latitude_grid(count)
-            assert g.min_separation == pytest.approx(
-                pairwise_min_geodesic(g.points), rel=1e-9)
-
     def test_equal_weights(self):
         g = iso_latitude_grid(300)
         assert np.allclose(g.weights, 1.0 / len(g))
@@ -163,49 +106,6 @@ class TestIsoLatitudeGrid:
         g = iso_latitude_grid(20000)
         z = g.points[:, 2]
         assert float(g.weights @ z**2) == pytest.approx(1.0 / 3.0, abs=1e-3)
-
-
-class TestSeparatedGrid:
-    def test_separation_example(self):
-        g = separated_grid(100, 0.1, 2)
-        target = 100.0 ** -0.1
-        assert target == pytest.approx(0.631, abs=1e-3)
-        assert pairwise_min_geodesic(g.points) >= target
-
-    def test_reported_separation_is_real(self):
-        for ell, alpha in ((100, 0.1), (64, 0.14), (30, 0.3)):
-            g = separated_grid(ell, alpha, 2)
-            assert g.min_separation == pytest.approx(
-                pairwise_min_geodesic(g.points), abs=1e-12)
-            assert g.min_separation >= float(ell) ** -alpha
-
-    def test_cardinality_window(self):
-        g = separated_grid(64, 0.14, 2)
-        target = 64.0 ** (2 * 0.14)
-        assert target / 4 <= len(g) <= 4 * target
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            separated_grid(0, 0.1)
-        with pytest.raises(ValueError):
-            separated_grid(10, 0.0)
-        with pytest.raises(ValueError):
-            separated_grid(10, 1.0)
-
-    def test_packing_failure_reported(self, monkeypatch):
-        # force an impossible candidate pool: all points inside a tiny cap
-        def clustered(dim, count, rng=None):
-            rng = np.random.default_rng(0)
-            pts = np.tile([0.0, 0.0, 1.0], (count, 1))
-            pts[:, 0] = 1e-4 * rng.standard_normal(count)
-            pts[:, 1] = 1e-4 * rng.standard_normal(count)
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            w = np.full(count, 1.0 / count)
-            return SphereGrid(dim, pts, w, 0.0)
-
-        monkeypatch.setattr(sphere_geom, "quasi_uniform_grid", clustered)
-        with pytest.raises(PackingError):
-            separated_grid(100, 0.5, 2)
 
 
 class TestIcosphere:
@@ -229,7 +129,10 @@ class TestIcosphere:
 
     def test_edge_length_bound(self):
         for s in (0, 1, 2, 3, 4):
-            assert icosphere(s).max_edge_length() < 3.0 * 2.0 ** -s
+            m = icosphere(s)
+            chord = np.linalg.norm(
+                m.vertices[m.edges[:, 0]] - m.vertices[m.edges[:, 1]], axis=1)
+            assert np.max(2.0 * np.arcsin(chord / 2.0)) < 3.0 * 2.0 ** -s
 
     def test_capacity_guard(self):
         with pytest.raises(ValueError):
@@ -237,16 +140,3 @@ class TestIcosphere:
         with pytest.raises(ValueError):
             icosphere(-1)
 
-
-class TestExportCsv:
-    def test_round_trip(self, tmp_path):
-        g = quasi_uniform_grid(2, 25)
-        path = tmp_path / "grid.csv"
-        export_grid_csv(g, str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["index", "x0", "x1", "x2", "weight"]
-        assert len(rows) == 26
-        back = np.array([[float(v) for v in r[1:4]] for r in rows[1:]])
-        assert np.array_equal(back, g.points)
-        assert float(rows[1][4]) == g.weights[0]

@@ -497,7 +497,7 @@ def basis_covariance(level: HarmonicLevel, x, y) -> float:
     Gaussian coefficients have covariance I/n, so the ensemble covariance
     is the mean over the slots of Y_m(x) Y_m(y).
     """
-    pts = np.vstack([np.asarray(x), np.asarray(y)])
+    pts = np.vstack([x, y])
     vals = np.array([evaluate(unit_coeffs(level, m), pts)
                      for m in range(1, level.n + 1)])
     return float(np.mean(vals[:, 0] * vals[:, 1]))

@@ -72,7 +72,6 @@ __all__ = [
     "ExperimentRecord",
     "RateFit",
     "RecordRow",
-    "estimate_constants",
     "fit_rate",
     "mesh_agreement",
     "parse_config_file",
@@ -545,7 +544,12 @@ def _run_kol_decay(record: ExperimentRecord) -> None:
         record.fit = fit_rate(record.rate_points)
         record.constants["kol_slope"] = record.fit.slope
         record.constants["theory_exponent"] = -rate_ell
-    record.constants.update(estimate_constants([record]))
+    # K_hat: the largest exceedance * n * eps^3, first row wins a tie
+    record.constants["K_hat"], record.constants["K_hat_ell"] = max(
+        ((row.estimate * eigenspace_dim(row.ell, row.dim) * row.epsilon**3, row.ell)
+         for row in record.rows if row.kind == "kol_decay_exceedance"),
+        key=lambda pair: pair[0],
+    )
 
 
 def _run_supnorm(record: ExperimentRecord) -> None:
@@ -774,39 +778,6 @@ def mesh_agreement(
         "cells": total,
         "degenerate": degenerate,
     }
-
-
-def estimate_constants(records: Sequence[ExperimentRecord]) -> dict:
-    """Empirical estimates of the inequalities' universal constants.
-
-    M_hat = max over ell of mean(sup norm)/sqrt(log ell) from supnorm
-    records; K_hat = max over (ell, epsilon) of exceedance * n * epsilon^3
-    from kol_decay exceedance records.  Each comes with the ell attaining
-    the maximum.
-    """
-    if not records:
-        raise ValueError("no records given")
-    out: dict = {}
-    m_best: Optional[tuple[float, int]] = None
-    k_best: Optional[tuple[float, int]] = None
-    for record in records:
-        for row in record.rows:
-            if row.kind == "supnorm":
-                val = row.estimate / math.sqrt(math.log(row.ell))
-                if m_best is None or val > m_best[0]:
-                    m_best = (val, row.ell)
-            elif row.kind == "kol_decay_exceedance" and row.epsilon:
-                n = eigenspace_dim(row.ell, row.dim)
-                val = row.estimate * n * row.epsilon**3
-                if k_best is None or val > k_best[0]:
-                    k_best = (val, row.ell)
-    if m_best is not None:
-        out["M_hat"], out["M_hat_ell"] = m_best
-    if k_best is not None:
-        out["K_hat"], out["K_hat_ell"] = k_best
-    if not out:
-        raise ValueError("records contain no supnorm/kol_decay rows")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 This module collects the closed-form ingredients everything else is built
 from: eigenspace dimensions of the Laplacian on the d-sphere, normalized
 Gegenbauer polynomials and their Bessel-type high-degree approximation,
-Bessel functions of integer and half-integer order, Gaussian distribution
-helpers, and the limiting densities of critical values for degree-ell
-eigenfunctions on the 2-sphere.
+Bessel functions of real order, Gaussian distribution helpers, and the
+limiting densities of critical values for degree-ell eigenfunctions on the
+2-sphere with their tails in closed form.
 
 Everything here is deterministic, scalar-or-vectorized, and has no
 dependency on the sampling machinery.
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erfc, gammaln
+from scipy.special import erfc, eval_hermitenorm, gammaln, jv
 
 __all__ = [
     "CriticalKind",
@@ -37,6 +36,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT3 = math.sqrt(3.0)
 _MAX_INT64 = 2**63 - 1
 _KERNEL_BLOCK = 32768  # elements per block of gegenbauer's recurrence
 
@@ -175,84 +175,18 @@ def gegenbauer(ell: int, dim: int, t: ArrayLike) -> ArrayLike:
 
 
 def bessel_j(order: float, x: ArrayLike) -> ArrayLike:
-    """Bessel function J_nu(x) for nu = k/2 (k a nonnegative integer), x >= 0.
+    """Bessel function J_nu(x) of real order nu >= 0 for x >= 0.
 
-    Small arguments (x < 12) use the ascending power series; large arguments
-    seed the order recurrence from the asymptotic expansions of J_0, J_1
-    (integer nu) or the closed forms of J_{1/2}, J_{3/2} (half-integer nu)
-    and recur upward, which is stable because nu < x on that branch.
+    Evaluated by ``scipy.special.jv``.  A negative or NaN order or
+    argument raises ``ValueError``.
     """
-    two_nu = 2.0 * order
-    if order < 0 or abs(two_nu - round(two_nu)) > 1e-12:
-        raise ValueError(f"order must be a nonnegative half-integer, got {order}")
+    if not order >= 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     arr, scalar = _as_float_array(x)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError("x must be >= 0")
-    out = np.empty_like(arr)
-    small = arr < 12.0
-    if np.any(small):
-        out[small] = _bessel_series(order, arr[small])
-    if np.any(~small):
-        out[~small] = _bessel_large(order, arr[~small])
-    return float(out) if scalar else out
-
-
-def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """Ascending series sum_m (-1)^m / (m! Gamma(m+nu+1)) (x/2)^{2m+nu}."""
-    half = x / 2.0
-    with np.errstate(divide="ignore"):
-        log_t0 = nu * np.log(np.where(half > 0, half, 1.0)) - gammaln(nu + 1.0)
-    term = np.where(half > 0, np.exp(log_t0), 1.0 if nu == 0 else 0.0)
-    total = term.copy()
-    hh = half * half
-    for m in range(1, 300):
-        term = -term * hh / (m * (m + nu))
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
-            return total
-    raise RuntimeError("Bessel series failed to converge")
-
-
-def _bessel_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
-    """Hankel asymptotic expansion, truncated at the smallest term."""
-    mu = 4.0 * nu * nu
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    inv8x = 1.0 / (8.0 * x)
-    sign = 1.0
-    for k in range(1, 30):
-        term = term * (mu - (2 * k - 1) ** 2) * inv8x / k
-        if np.all(np.abs(term) < 1e-18):
-            break
-        if k % 2 == 1:
-            q += sign * term
-        else:
-            sign = -sign
-            p += sign * term
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _bessel_large(nu: float, x: np.ndarray) -> np.ndarray:
-    if nu == int(nu):
-        j_lo = _bessel_asymptotic(0.0, x)
-        j_hi = _bessel_asymptotic(1.0, x)
-        lo_order = 0.0
-    else:
-        pref = np.sqrt(2.0 / (math.pi * x))
-        j_lo = pref * np.sin(x)
-        j_hi = pref * (np.sin(x) / x - np.cos(x))
-        lo_order = 0.5
-    if nu == lo_order:
-        return j_lo
-    if nu == lo_order + 1.0:
-        return j_hi
-    k = lo_order + 1.0
-    while k < nu:
-        j_lo, j_hi = j_hi, (2.0 * k / x) * j_hi - j_lo
-        k += 1.0
-    return j_hi
+    vals = jv(order, arr)
+    return float(vals) if scalar else vals
 
 
 def gegenbauer_hilb(ell: int, dim: int, theta: ArrayLike) -> ArrayLike:
@@ -273,7 +207,7 @@ def gegenbauer_hilb(ell: int, dim: int, theta: ArrayLike) -> ArrayLike:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     arr, scalar = _as_float_array(theta)
-    if np.any(arr <= 0.0) or np.any(arr > math.pi / 2.0 + 1e-12):
+    if not np.all((arr > 0.0) & (arr <= math.pi / 2.0 + 1e-12)):
         raise ValueError("theta must lie in (0, pi/2]")
     big_l = ell + (dim - 1) / 2.0
     nu = dim / 2.0 - 1.0
@@ -317,36 +251,32 @@ def cdf_derivative(q: int, u: ArrayLike) -> ArrayLike:
     """q-th derivative of the standard normal CDF, q >= 1.
 
     d^q/du^q Phi(u) = (-1)^{q-1} He_{q-1}(u) phi(u), with He_k the
-    probabilists' Hermite polynomials (He_0 = 1, He_1 = u).  q = 0 is a
-    domain error: the CDF itself is not a derivative.
+    probabilists' Hermite polynomials (``scipy.special.eval_hermitenorm``).
+    q = 0 is a domain error: the CDF itself is not a derivative.
     """
     if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
         raise ValueError(f"q must be an integer, got {q!r}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     arr, scalar = _as_float_array(u)
-    he_prev = np.ones_like(arr)
-    he = arr.copy()
-    if q - 1 == 0:
-        hermite = he_prev
-    elif q - 1 == 1:
-        hermite = he
-    else:
-        for k in range(1, q - 1):
-            he_prev, he = he, arr * he - k * he_prev
-        hermite = he
     pdf = np.exp(-0.5 * arr * arr) / _SQRT_2PI
-    vals = (-1.0) ** (q - 1) * hermite * pdf
+    vals = (-1.0) ** (q - 1) * eval_hermitenorm(q - 1, arr) * pdf
     return float(vals) if scalar else vals
 
 
-def _coerce_kind(kind: Union[CriticalKind, str]) -> CriticalKind:
-    if isinstance(kind, CriticalKind):
-        return kind
-    try:
-        return CriticalKind(str(kind))
-    except ValueError:
-        raise ValueError(f"unknown critical kind {kind!r}") from None
+def _aggregate_kind(kind: Union[CriticalKind, str]) -> CriticalKind:
+    """``kind`` as a CriticalKind that has a limiting density of critical values."""
+    if not isinstance(kind, CriticalKind):
+        try:
+            kind = CriticalKind(str(kind))
+        except ValueError:
+            raise ValueError(f"unknown critical kind {kind!r}") from None
+    if kind in (CriticalKind.MINIMUM, CriticalKind.MAXIMUM):
+        raise ValueError(
+            f"no limiting density for kind {kind.value!r}; "
+            "use critical, extremum or saddle"
+        )
+    return kind
 
 
 def critical_density(kind: Union[CriticalKind, str], u: ArrayLike) -> ArrayLike:
@@ -355,20 +285,26 @@ def critical_density(kind: Union[CriticalKind, str], u: ArrayLike) -> ArrayLike:
     As ell -> infinity the expected number of critical points of h_ell with
     value in [u, u + du], divided by ell^2, converges to psi_kind(u) du with
 
-        psi_critical(u) = (2 e^{-u^2} + u^2 - 1) phi(u) / ... (see below)
-        psi_extremum(u) = (e^{-u^2} + u^2 - 1) e^{-u^2/2} / sqrt(2 pi)
-        psi_saddle(u)   = e^{-3 u^2 / 2} / sqrt(2 pi)
+        psi_critical(u) = (2 e^{-u^2} + u^2 - 1) phi(u)
+        psi_extremum(u) = (e^{-u^2} + u^2 - 1) phi(u)
+        psi_saddle(u)   = e^{-u^2} phi(u)
 
-    and psi_critical = psi_extremum + psi_saddle.  These follow from the
+    so psi_critical = psi_extremum + psi_saddle.  These follow from the
     Kac-Rice formula with the exponential law of the conditional Hessian
-    determinant; the totals integrate to 2/sqrt(3) (critical) and
-    1/sqrt(3) (extrema and saddles each), and the Euler-characteristic
-    identity psi_extremum - psi_saddle = (u^2 - 1) phi(u) holds exactly.
+    determinant.  Their tails over [u, infinity), which ``critical_tail``
+    returns, have the closed forms
+
+        saddle a,   extremum a + b,   critical 2a + b,
+
+    with a = (1 - Phi(sqrt(3) u)) / sqrt(3) and b = u phi(u).  The totals
+    are 2/sqrt(3) (critical) and 1/sqrt(3) (extrema and saddles each), and
+    the Euler-characteristic identity psi_extremum - psi_saddle =
+    (u^2 - 1) phi(u) holds exactly.
 
     Only the aggregate kinds CRITICAL, EXTREMUM, SADDLE have a limiting
     density of this form; MINIMUM / MAXIMUM raise ``ValueError``.
     """
-    ck = _coerce_kind(kind)
+    ck = _aggregate_kind(kind)
     arr, scalar = _as_float_array(u)
     u2 = arr * arr
     base = np.exp(-0.5 * u2) / _SQRT_2PI
@@ -376,35 +312,25 @@ def critical_density(kind: Union[CriticalKind, str], u: ArrayLike) -> ArrayLike:
         vals = (2.0 * np.exp(-u2) + u2 - 1.0) * base
     elif ck is CriticalKind.EXTREMUM:
         vals = (np.exp(-u2) + u2 - 1.0) * base
-    elif ck is CriticalKind.SADDLE:
-        vals = np.exp(-u2) * base
     else:
-        raise ValueError(
-            f"no limiting density for kind {ck.value!r}; "
-            "use critical, extremum or saddle"
-        )
+        vals = np.exp(-u2) * base
     return float(vals) if scalar else vals
 
 
 def critical_tail(kind: Union[CriticalKind, str], u: float) -> float:
-    """Integral of ``critical_density`` over [u, infinity).
+    """Integral of ``critical_density`` over [u, infinity), in closed form.
 
-    Values of u at or below -40 return the full mass; the integrand is
-    numerically zero beyond |u| = 40 so the quadrature window is clamped
-    to [max(u, -40), 40].  Raises ``RuntimeError`` if the quadrature error
-    estimate exceeds 1e-8.
+    With a = (1 - Phi(sqrt(3) u)) / sqrt(3), the tail of e^{-t^2} phi(t),
+    and b = u phi(u), the tail of (t^2 - 1) phi(t), the saddle tail is a,
+    the extremum tail a + b and the critical tail 2a + b.
     """
-    ck = _coerce_kind(kind)
+    ck = _aggregate_kind(kind)
     u = float(u)
-    if u >= 40.0:
-        return 0.0
-    lo = max(u, -40.0)
-    val, err = integrate.quad(
-        lambda z: critical_density(ck, z), lo, 40.0, epsabs=1e-10, epsrel=1e-12,
-        limit=200,
-    )
-    if err > 1e-8:
-        raise RuntimeError(
-            f"critical_tail quadrature error {err:.2e} exceeds tolerance"
-        )
-    return float(val)
+    a = gaussian(_SQRT3 * u).tail / _SQRT3
+    pdf = gaussian(u).pdf
+    b = u * pdf if pdf else 0.0  # u phi(u) -> 0 as u -> +-inf
+    if ck is CriticalKind.SADDLE:
+        return a
+    if ck is CriticalKind.EXTREMUM:
+        return a + b
+    return 2.0 * a + b

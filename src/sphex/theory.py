@@ -63,7 +63,7 @@ class BoundReport:
     def __post_init__(self) -> None:
         if not self.anchor:
             raise ValueError("citation anchor must be nonempty")
-        if self.bound_value < 0:
+        if not self.bound_value >= 0:  # refuses NaN too; inf is allowed
             raise ValueError(f"bound_value must be >= 0, got {self.bound_value}")
 
     def to_json(self) -> str:

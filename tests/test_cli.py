@@ -100,6 +100,11 @@ class TestScalarCommands:
         want = fmt12(gegenbauer_hilb(50, 2, 0.7))
         assert capsys.readouterr().out == want + "\n"
 
+    def test_gegenbauer_hilb_order_above_argument(self, capsys):
+        # J_49.5(30): the Bessel order exceeds its argument
+        assert main(["gegenbauer", "10", "101", "--hilb", "0.5"]) == 0
+        assert capsys.readouterr().out == "0.0762892866678\n"
+
     def test_gegenbauer_argument_xor(self, capsys):
         assert main(["gegenbauer", "2", "2", "0.5", "--hilb", "0.7"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -307,8 +312,26 @@ class TestExitCodes:
         assert main(["theory", "no-such-bound"]) == 2
         assert main(["theory", "badset", "--args", "epsilon=0.1"]) == 2
         assert main(["theory", "badset", "--args", "oops"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("error:") == 5
+        # NaN fails every range check, so it is refused rather than printed
+        nan_argv = [
+            ["theory", "mills", "--args", "z=nan"],
+            ["theory", "cramer", "--args", "x=nan"],
+            ["theory", "sogge", "--args", "p=nan"],
+            ["theory", "kol-bound", "--args", "n=10,epsilon=0.5,K=nan"],
+            ["theory", "badset", "--args", "epsilon=0.1,n=10,sigma_sq=nan,c=1"],
+            ["theory", "epc-limit", "--args", "u=nan"],
+            ["theory", "borel-tis", "--args", "t=nan,expected_sup=1"],
+            ["theory", "density-ratio",
+             "--args", "epsilon=0.5,n=10,sigma_sq=1,density_sup=nan"],
+            ["theory", "supnorm-tail", "--args", "M=nan,beta=1,ell=8"],
+            ["theory", "critical-limit", "--args", "kind=saddle,u=nan"],
+            ["gegenbauer", "10", "2", "--hilb", "nan"],
+        ]
+        for argv in nan_argv:
+            assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 5 + len(nan_argv)
 
     @pytest.mark.parametrize("rows, message", [
         (["1,2,1.0,1,1.0", "1,2,2.0,2,0.0", "1,2,1.0,3,0.0"],

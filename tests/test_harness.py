@@ -23,10 +23,7 @@ from sphex.harness import (
     CSV_HEADER,
     KINDS,
     ExperimentConfig,
-    ExperimentRecord,
     RateFit,
-    RecordRow,
-    estimate_constants,
     fit_rate,
     mesh_agreement,
     parse_config_file,
@@ -331,8 +328,17 @@ class TestKolDecay:
     def test_fit_and_constants(self, kol_record):
         assert kol_record.fit is not None
         assert kol_record.constants["theory_exponent"] == pytest.approx(-1.0 / 3.0)
-        assert "K_hat" in kol_record.constants
         assert "kol_slope" in kol_record.constants
+        # K_hat is the largest exceedance * n * eps^3 over the exceedance
+        # rows in row order, with the ell of the first row attaining it
+        best = None
+        for r in kol_record.rows:
+            if r.kind == "kol_decay_exceedance":
+                val = r.estimate * eigenspace_dim(r.ell, r.dim) * r.epsilon**3
+                if best is None or val > best[0]:
+                    best = (val, r.ell)
+        constants = kol_record.constants
+        assert (constants["K_hat"], constants["K_hat_ell"]) == best
 
     def test_distance_decreases(self, kol_record):
         means = [r.estimate for r in kol_record.rows if r.kind == "kol_decay"]
@@ -528,35 +534,6 @@ class TestMeshAgreement:
         assert out["agreement"] >= 2.0 / 3.0
 
 
-class TestEstimateConstants:
-    def _record_with(self, rows):
-        cfg = small_config()
-        return ExperimentRecord(cfg, cfg.config_hash(), rows, {})
-
-    def test_m_and_k_extraction(self):
-        rows = [
-            RecordRow("supnorm", 2, 16, None, None, 3.0, 0.1, None, 40, 0, 1.0),
-            RecordRow("supnorm", 2, 64, None, None, 3.5, 0.1, None, 40, 0, 1.0),
-            RecordRow("kol_decay_exceedance", 2, 16, None, 0.1,
-                      0.25, 0.02, None, 40, 0, 1.0),
-        ]
-        out = estimate_constants([self._record_with(rows)])
-        want_m = max(3.0 / math.sqrt(math.log(16)),
-                     3.5 / math.sqrt(math.log(64)))
-        assert out["M_hat"] == pytest.approx(want_m, rel=1e-12)
-        assert out["M_hat_ell"] in (16, 64)
-        n = eigenspace_dim(16, 2)
-        assert out["K_hat"] == pytest.approx(0.25 * n * 0.1**3, rel=1e-12)
-        assert out["K_hat_ell"] == 16
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            estimate_constants([])
-        rows = [RecordRow("epc", 2, 4, 0.0, None, 0.1, 0.01, None, 40, 0, 1.0)]
-        with pytest.raises(ValueError):
-            estimate_constants([self._record_with(rows)])
-
-
 class TestPersistence:
 
     def test_csv_schema(self, variance_record, tmp_path):
@@ -727,7 +704,7 @@ class TestCriticalGolden:
             "0c3b36f66dc25cd623ccdbaac498b911c1e369b929a7f100b99ff0ce602ae438"
         ),
         "critical_density.csv": (
-            "d47791b684fc831acfcd268bacd4d5437a3266728bb7f933dbb92a0b122d92fc"
+            "e0173da69a7ebb1e0b34397ce7979b4a53ecd139878ca040bef0f599933af339"
         ),
         "critical_density.json": (
             "122f00440e4ade73812d72d116333dc696bf86628aa102e95181626d7b1dd621"

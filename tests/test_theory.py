@@ -392,6 +392,10 @@ class TestRegistryAndReports:
             BoundReport("x", {}, -0.5, "anchor")
         with pytest.raises(ValueError):
             BoundReport("x", {}, 0.5, "")
+        with pytest.raises(ValueError):
+            BoundReport("x", {}, math.nan, "anchor")
+        # cramer is +inf for x <= 0, a valid (vacuous) value
+        assert BoundReport("x", {}, math.inf, "anchor").bound_value == math.inf
 
     def test_report_json_round_trip(self):
         report = evaluate_bound("mills", z=1.0)

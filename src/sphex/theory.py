@@ -63,8 +63,10 @@ class BoundReport:
     def __post_init__(self) -> None:
         if not self.anchor:
             raise ValueError("citation anchor must be nonempty")
-        if not self.bound_value >= 0:  # refuses NaN too; inf is allowed
-            raise ValueError(f"bound_value must be >= 0, got {self.bound_value}")
+        # limits such as epc-limit at u < 0 are negative, and cramer may
+        # be inf; only NaN carries no value
+        if math.isnan(self.bound_value):
+            raise ValueError("bound_value is NaN")
 
     def to_json(self) -> str:
         return json.dumps(

@@ -171,6 +171,18 @@ class TestTheoryPinned:
         assert captured.out == want + "\n"
         assert captured.err == ""
 
+    @pytest.mark.parametrize("name,args,want", [
+        ("epc-limit", "u=-1", "-0.241970724519"),
+        ("gkf-epc", "ell=8,u=-1", "-1.79247520254"),
+    ], ids=["epc-limit", "gkf-epc"])
+    def test_negative_limits_print(self, name, args, want, capsys):
+        # a limit below the mean level is negative; the epc campaign writes
+        # these same values into its theory column
+        assert main(["theory", name, "--args", args]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == want + "\n"
+        assert captured.err == ""
+
     def test_integer_arguments_reach_the_report_as_int(self):
         from sphex.cli import _parse_bound_args
         from sphex.theory import evaluate_bound

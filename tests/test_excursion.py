@@ -486,6 +486,39 @@ class TestFindCriticalPointsGeneric:
             assert np.allclose(np.array(vals_scaled),
                                c * np.array(vals_base), rtol=1e-9)
 
+    @pytest.mark.parametrize("ell", [7, 8, 16])
+    def test_critical_set_is_antipodal(self, ell):
+        # f(-x) = (-1)^ell f(x), so every critical point has its antipode in
+        # the set at value (-1)^ell f; for odd ell the antipode of a maximum
+        # is a minimum and vice versa, and saddles stay saddles
+        sign = (-1) ** ell
+        mirror = {CriticalKind.MINIMUM: CriticalKind.MAXIMUM,
+                  CriticalKind.MAXIMUM: CriticalKind.MINIMUM,
+                  CriticalKind.SADDLE: CriticalKind.SADDLE}
+        for rep in range(2):
+            cv = sample_gaussian(HarmonicLevel(ell, 2), stream(25, rep, "parity"))
+            cps = find_critical_points(cv)
+            assert not cps.degenerate_flag
+            xyz = np.array([p.position.coords for p in cps.points])
+            gap = np.linalg.norm(xyz[:, None, :] + xyz[None, :, :], axis=2)
+            partner = gap.argmin(axis=1)
+            assert gap[np.arange(len(cps)), partner].max() < 1e-7
+            assert np.array_equal(np.sort(partner), np.arange(len(cps)))
+            for p, j in zip(cps.points, partner):
+                q = cps.points[j]
+                assert abs(q.value - sign * p.value) <= 1e-9 * cv.radius
+                assert q.kind is (p.kind if sign > 0 else mirror[p.kind])
+
+    def test_close_saddle_extremum_pairs_are_kept(self):
+        # replicate 19 of TestCriticalGolden's epc cell at ell=8 has two
+        # saddle/maximum pairs 0.155/ell apart; a 0.2/ell merge dropped a
+        # point of each, so every rotation failed the Morse count
+        cv = sample_gaussian(HarmonicLevel(8, 2), stream(2015, 19, "epc:ell=8"))
+        cps = find_critical_points(cv)
+        assert not cps.degenerate_flag
+        c = cps.counts()
+        assert c["minimum"] - c["saddle"] + c["maximum"] == 2
+
     def test_domain_errors(self):
         lv = HarmonicLevel(0, 2)
         with pytest.raises(ValueError):
@@ -503,9 +536,12 @@ class TestSeedRings:
         # the first Newton iteration synthesizes the jet on the seed rings;
         # it must agree with the pointwise jet at every seed, the first and
         # last rings (largest 1/sin theta) included, to rounding scaled by
-        # the derivative order j of each output
+        # the derivative order j of each output.  The seeds are the rings of
+        # the upper hemisphere (theta <= pi/2, the equator ring included when
+        # the ring count is odd)
         (seed_t, seed_p), tables = excursion._seed_rings(ell)
         thetas, phis = iso_latitude_grid(40 * ell * ell).rings
+        thetas = thetas[thetas <= math.pi / 2]
         assert np.array_equal(seed_t, np.repeat(thetas, phis.size))
         assert np.array_equal(seed_p, np.tile(phis, thetas.size))
         for rep in range(2):

@@ -32,7 +32,7 @@ from sphex.harmonics import (
     stream,
     write_coefficients_csv,
 )
-from sphex.harmonics import _frame_jet2, _legendre_rows
+from sphex.harmonics import _frame_jet2, _legendre_rows, _longitude_waves
 from sphex.specfun import HarmonicLevel, gegenbauer
 from sphex.sphere_geom import SpherePoint, iso_latitude_grid
 
@@ -388,6 +388,27 @@ class TestLegendreKernel:
             single = _frame_jet2(cv, theta[i : i + 1], phi[i : i + 1])
             for w, one in zip(whole, single):
                 assert np.array_equal(w[i : i + 1], one)
+
+
+class TestLongitudeWaves:
+    @pytest.mark.parametrize("ell", [1, 2, 24, 256])
+    def test_matches_libm_lattice(self, ell):
+        # exp(i m phi) by angle addition against libm's cos and sin of
+        # m phi: the error grows with the order m (and with |phi|, through
+        # the rounding of m phi in the reference)
+        rng = np.random.default_rng(ell)
+        phi = np.concatenate([
+            rng.uniform(-2 * math.pi, 4 * math.pi, 2000),
+            [0.0, math.pi / 2, math.pi, -math.pi, 2 * math.pi],
+        ])
+        m = np.arange(1, ell + 1, dtype=float)
+        waves = _longitude_waves(phi, ell)
+        assert waves.shape == (phi.size, ell)
+        ang = phi[:, None] * m
+        err = np.maximum(np.abs(waves.real - np.cos(ang)),
+                         np.abs(waves.imag - np.sin(ang)))
+        eps = np.finfo(float).eps
+        assert np.all(err <= eps * m * (1.0 + np.abs(phi)[:, None]))
 
 
 class TestJets:

@@ -698,13 +698,13 @@ class TestCriticalGolden:
 
     GOLDEN = {
         "epc.csv": (
-            "00a9faf9c50f9ac281ae992c6aef2a65201e17321a301eac4ed59ef4c9be6e6a"
+            "ed3af2edf1b23c933d927149457879a2f459b13e664ee014247fc66e88b687c1"
         ),
         "epc.json": (
-            "0c3b36f66dc25cd623ccdbaac498b911c1e369b929a7f100b99ff0ce602ae438"
+            "5a357f349dc68ad4f0789df350efb45b3baa04ad331b64e6d52d24530c0b1226"
         ),
         "critical_density.csv": (
-            "e0173da69a7ebb1e0b34397ce7979b4a53ecd139878ca040bef0f599933af339"
+            "8b0f8dc806aa5ca8b500eb93522d871bd8b1c26f180aefbbb6eccb6a729bf6dd"
         ),
         "critical_density.json": (
             "122f00440e4ade73812d72d116333dc696bf86628aa102e95181626d7b1dd621"
@@ -767,7 +767,7 @@ class TestGridGolden:
             "9d070cd25f3f28f2af13ab4de59f45184dec1b38a9d15fefcd0064b44f9cccc2"
         ),
         "supnorm.csv": (
-            "882449e91ae73a0520034d545f2088921d122e1a5c07ec84a11bb1d82d2eace7"
+            "2ae6d15a4ca53f2e120eb8d1a10d20a7ff712f13338c4cfc5c3a0a634aa9b2fa"
         ),
         "supnorm.json": (
             "afcaaa23e5ae4d3b94e451fd7c2f1f0ac27926d4d5da294dcc830a39a3fe006c"

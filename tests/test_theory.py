@@ -388,8 +388,8 @@ class TestRegistryAndReports:
             evaluate_bound("badset", epsilon=0.1, n=100)
 
     def test_report_validation(self):
-        with pytest.raises(ValueError):
-            BoundReport("x", {}, -0.5, "anchor")
+        # limits may be negative (epc-limit at u < 0), so only NaN is refused
+        assert BoundReport("x", {}, -0.5, "anchor").bound_value == -0.5
         with pytest.raises(ValueError):
             BoundReport("x", {}, 0.5, "")
         with pytest.raises(ValueError):

@@ -6,7 +6,10 @@ samples, compared against the Gaussian tail, is the central object of the
 package.  This module also locates and classifies all critical points of
 an explicit field by a rotated-seed batched Newton search, from which the
 Euler characteristic of excursion sets follows by Morse counting, with an
-independent combinatorial route through triangulated meshes.
+independent combinatorial route through triangulated meshes.  A critical
+set is held as columns (``CriticalPointSet``: positions, values, residuals,
+Hessian eigenvalues and Morse index), so every count over it is one array
+expression.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import csv
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -33,7 +36,6 @@ from .specfun import CriticalKind, _normal_cdf
 from .sphere_geom import SphereGrid, SphereMesh, SpherePoint, iso_latitude_grid
 
 __all__ = [
-    "CriticalPoint",
     "CriticalPointSet",
     "count_above",
     "euler_characteristic_mesh",
@@ -154,19 +156,26 @@ def kolmogorov_distance(sample: FieldSample, scale: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    position: SpherePoint
-    value: float
-    kind: CriticalKind
-    gradient_residual: float
-    hessian_eigs: tuple[float, float]
+# the kinds in Morse-index order: 0 minimum, 1 saddle, 2 maximum
+_MORSE_KINDS = (CriticalKind.MINIMUM, CriticalKind.SADDLE, CriticalKind.MAXIMUM)
 
 
 @dataclass
 class CriticalPointSet:
+    """The critical points of one field, one array row per point.
+
+    ``points`` holds the unit positions (K, 3), ``values`` the field
+    values, ``residuals`` the gradient norms, ``eigs`` the covariant
+    Hessian eigenvalues (K, 2) in ascending order, and ``index`` the Morse
+    index: 0 minimum, 1 saddle, 2 maximum.
+    """
+
     level: "harmonics.HarmonicLevel"
-    points: list[CriticalPoint] = field(default_factory=list)
+    points: np.ndarray
+    values: np.ndarray
+    residuals: np.ndarray
+    eigs: np.ndarray
+    index: np.ndarray
     degenerate_flag: bool = False
     rotation_attempts: int = 1
 
@@ -174,10 +183,8 @@ class CriticalPointSet:
         return len(self.points)
 
     def counts(self) -> dict[str, int]:
-        out = {"minimum": 0, "maximum": 0, "saddle": 0}
-        for p in self.points:
-            out[p.kind.value] += 1
-        return out
+        per_index = np.bincount(self.index, minlength=3)
+        return {k.value: int(n) for k, n in zip(_MORSE_KINDS, per_index)}
 
 
 # critical-point search: seed cells per ell^2, dedupe radius times ell,
@@ -352,7 +359,9 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
     #min - #saddle + #max equals 2 with no eigenvalue inside the
     degeneracy floor 1e-6 * ell^2 * radius.  On failure the search
     retries with a fresh rotation, up to 3 attempts in all; persistent
-    failure returns the last attempt with ``degenerate_flag`` set.
+    failure returns the last attempt with ``degenerate_flag`` set.  An
+    attempt whose Newton search converges nowhere gives an empty set,
+    which fails the Morse count.
     """
     level = coeffs.level
     if level.dim != 2:
@@ -375,9 +384,6 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
         work = harmonics._rotated_coefficients(coeffs, rot)
         seed_jet = harmonics._ring_jet2(work, tables)
         root_t, root_p = _newton_roots(work, s_theta, s_phi, seed_jet, tol)
-        if root_t.size == 0:
-            last = CriticalPointSet(level, [], True, attempt + 1)
-            continue
         # the antipode of a root of the rotated field is a root too: it is
         # where the reflected seed would have converged
         root_t = np.concatenate([root_t, math.pi - root_t])
@@ -392,7 +398,6 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
         rep = _dedupe_first_wins(xyz, radius)
         root_t, root_p, xyz = root_t[rep], root_p[rep], xyz[rep]
         values, g_t, g_p, h_tt, h_tp, h_pp = harmonics._frame_jet2(work, root_t, root_p)
-        residuals = np.hypot(g_t, g_p)
         mean = 0.5 * (h_tt + h_pp)
         half_gap = np.sqrt(0.25 * (h_tt - h_pp) ** 2 + h_tp**2)
         eig_lo = mean - half_gap
@@ -401,30 +406,15 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
         field_xyz = xyz @ rot.T
         field_xyz /= np.linalg.norm(field_xyz, axis=1, keepdims=True)
         degenerate = bool(np.any(np.minimum(np.abs(eig_lo), np.abs(eig_hi)) <= floor))
-        pts: list[CriticalPoint] = []
-        for k in range(xyz.shape[0]):
-            if eig_hi[k] < 0:
-                kind = CriticalKind.MAXIMUM
-            elif eig_lo[k] > 0:
-                kind = CriticalKind.MINIMUM
-            else:
-                kind = CriticalKind.SADDLE
-            pts.append(
-                CriticalPoint(
-                    position=SpherePoint(field_xyz[k]),
-                    value=float(values[k]),
-                    kind=kind,
-                    gradient_residual=float(residuals[k]),
-                    hessian_eigs=(float(eig_lo[k]), float(eig_hi[k])),
-                )
-            )
-        out = CriticalPointSet(level, pts, degenerate, attempt + 1)
-        c = out.counts()
-        morse_ok = c["minimum"] - c["saddle"] + c["maximum"] == 2
-        if morse_ok and not degenerate:
-            return out
-        out.degenerate_flag = True
-        last = out
+        index = np.where(eig_hi < 0, 2, np.where(eig_lo > 0, 0, 1))
+        last = CriticalPointSet(
+            level, field_xyz, values, np.hypot(g_t, g_p),
+            np.column_stack([eig_lo, eig_hi]), index, degenerate, attempt + 1,
+        )
+        c = last.counts()
+        if c["minimum"] - c["saddle"] + c["maximum"] == 2 and not degenerate:
+            return last
+        last.degenerate_flag = True
     assert last is not None
     return last
 
@@ -441,13 +431,12 @@ def count_above(
     """
     if not isinstance(kind, CriticalKind):
         kind = CriticalKind(str(kind))
-    if kind is CriticalKind.CRITICAL:
-        members = {CriticalKind.MINIMUM, CriticalKind.MAXIMUM, CriticalKind.SADDLE}
-    elif kind is CriticalKind.EXTREMUM:
-        members = {CriticalKind.MINIMUM, CriticalKind.MAXIMUM}
-    else:
-        members = {kind}
-    return sum(1 for p in cps.points if p.kind in members and p.value >= u)
+    above = cps.values >= u
+    if kind is CriticalKind.EXTREMUM:
+        above &= cps.index != 1
+    elif kind is not CriticalKind.CRITICAL:
+        above &= cps.index == _MORSE_KINDS.index(kind)
+    return int(np.count_nonzero(above))
 
 
 def euler_characteristic_morse(cps: CriticalPointSet, u: float) -> int:
@@ -462,11 +451,9 @@ def euler_characteristic_morse(cps: CriticalPointSet, u: float) -> int:
             "critical point set is flagged degenerate; the Morse count is "
             "unreliable (use the mesh oracle instead)"
         )
-    chi = 0
-    for p in cps.points:
-        if p.value >= u:
-            chi += -1 if p.kind is CriticalKind.SADDLE else 1
-    return chi
+    above = cps.values >= u
+    saddles = np.count_nonzero(above & (cps.index == 1))
+    return int(np.count_nonzero(above) - 2 * saddles)
 
 
 def euler_characteristic_mesh(
@@ -555,24 +542,15 @@ def sup_norm(
     return result, arg
 
 
-def export_critical_points_csv(cps: CriticalPointSet, path_or_file) -> None:
-    """Columns: position (x, y, z), value, kind, residual, eigenvalues."""
+def export_critical_points_csv(cps: CriticalPointSet, fh) -> None:
+    """Write the set to the text file ``fh``, one row per point.
 
-    def _write(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["x", "y", "z", "value", "kind", "residual", "eig1", "eig2"]
-        )
-        for p in cps.points:
-            row = [format(c, ".17g") for c in p.position.coords]
-            row.append(format(p.value, ".17g"))
-            row.append(p.kind.value)
-            row.append(format(p.gradient_residual, ".17g"))
-            row.extend(format(e, ".17g") for e in p.hessian_eigs)
-            writer.writerow(row)
-
-    if isinstance(path_or_file, (str, bytes)):
-        with open(path_or_file, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(path_or_file)
+    Columns: position (x, y, z), value, kind, residual, eigenvalues, the
+    floats at 17 significant digits.
+    """
+    writer = csv.writer(fh)
+    writer.writerow(["x", "y", "z", "value", "kind", "residual", "eig1", "eig2"])
+    floats = np.column_stack([cps.points, cps.values, cps.residuals, cps.eigs])
+    for row, k in zip(floats.tolist(), cps.index.tolist()):
+        cells = [format(c, ".17g") for c in row]
+        writer.writerow([*cells[:4], _MORSE_KINDS[k].value, *cells[4:]])

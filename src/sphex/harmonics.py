@@ -50,7 +50,6 @@ __all__ = [
     "sample_radius",
     "sample_unit_coefficients",
     "stream",
-    "write_coefficients_csv",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -542,10 +541,11 @@ class GramSimulator:
 
     The Gram matrix has rank at most the eigenspace dimension, so for
     point counts beyond that a diagonal jitter is unavoidable.  The
-    factorization is tried first with no jitter, then with 1e-12 escalated
-    by factors of 10 up to 1e-8 (``_LADDER``); the value used is kept in
-    ``jitter``.  Failure beyond the ceiling raises ``GeometryError``
-    (degenerate geometry, e.g. duplicated points).
+    factorization is tried with no jitter while the point count does not
+    exceed the eigenspace dimension, then with 1e-12 escalated by factors
+    of 10 up to 1e-8 (``_LADDER``); the value used is kept in ``jitter``.
+    Failure beyond the ceiling raises ``GeometryError`` (degenerate
+    geometry, e.g. duplicated points).
     Samples carry the grid's weights when ``points`` is a ``SphereGrid``
     and uniform weights otherwise.
     """
@@ -572,7 +572,10 @@ class GramSimulator:
         del cosines  # one N x N array fewer alive during the factorization
         self.jitter = 0.0
         self._chol = None
-        for jit in self._LADDER:
+        # past n points the Gram is singular: a factor without jitter then
+        # exists only by rounding, so that attempt is skipped
+        ladder = self._LADDER[1:] if n_pts > level.n else self._LADDER
+        for jit in ladder:
             try:
                 # the exact diagonal is G(1) = 1; bump it in place instead of
                 # materializing an identity matrix next to a large Gram block
@@ -706,40 +709,22 @@ def sample_nongaussian(
 _CSV_COLUMNS = ("ell", "d", "radius", "m", "alpha")
 
 
-def write_coefficients_csv(coeffs: CoefficientVector, path_or_file) -> None:
-    """Columns ell, d, radius, m, alpha with %.17g floats (exact round trip)."""
+def read_coefficients_csv(path) -> CoefficientVector:
+    """The coefficient vector in the CSV file at ``path``.
 
-    def _write(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        ell, d = coeffs.level.ell, coeffs.level.dim
-        r = format(coeffs.radius, ".17g")
-        for m, a in enumerate(coeffs.alpha, start=1):
-            writer.writerow([ell, d, r, m, format(a, ".17g")])
-
-    if isinstance(path_or_file, (str, bytes)):
-        with open(path_or_file, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(path_or_file)
-
-
-def read_coefficients_csv(path_or_file) -> CoefficientVector:
-    if isinstance(path_or_file, (str, bytes)):
-        with open(path_or_file, newline="") as fh:
-            return _read_coeffs(fh)
-    return _read_coeffs(path_or_file)
-
-
-def _read_coeffs(fh) -> CoefficientVector:
-    reader = csv.DictReader(fh)
-    missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(
-            f"coefficient CSV is missing columns: {', '.join(missing)}; "
-            f"expected the header {','.join(_CSV_COLUMNS)}"
-        )
-    rows = list(reader)
+    Refuses with ``ValueError`` a file that lacks a column, has no rows,
+    disagrees between rows on ell, d or radius, or whose slots m are not
+    1..n each once.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(
+                f"coefficient CSV is missing columns: {', '.join(missing)}; "
+                f"expected the header {','.join(_CSV_COLUMNS)}"
+            )
+        rows = list(reader)
     if not rows:
         raise ValueError("coefficient CSV is empty")
     first = {"ell": int(rows[0]["ell"]), "d": int(rows[0]["d"]),
@@ -767,6 +752,12 @@ def _read_coeffs(fh) -> CoefficientVector:
 
 
 def coefficients_csv_text(coeffs: CoefficientVector) -> str:
+    """Columns ell, d, radius, m, alpha with %.17g floats (exact round trip)."""
     buf = io.StringIO()
-    write_coefficients_csv(coeffs, buf)
+    writer = csv.writer(buf)
+    writer.writerow(_CSV_COLUMNS)
+    ell, d = coeffs.level.ell, coeffs.level.dim
+    r = format(coeffs.radius, ".17g")
+    for m, a in enumerate(coeffs.alpha, start=1):
+        writer.writerow([ell, d, r, m, format(a, ".17g")])
     return buf.getvalue()

@@ -688,7 +688,7 @@ def _run_epc(record: ExperimentRecord) -> None:
         cell = _Cell(record, ell)
         sets = cell.critical_sets()
         for cps in sets:
-            top = max(p.value for p in cps.points)
+            top = cps.values.max()
             if euler_characteristic_morse(cps, -40.0) != 2:
                 constants["exact_check_failures"] += 1
             if euler_characteristic_morse(cps, top + 1.0) != 0:

@@ -93,8 +93,8 @@ class HarmonicLevel:
     """A Laplace eigenspace on the unit d-sphere, identified by (ell, dim).
 
     ``dim`` is the dimension of the sphere itself (so dim=2 is the ordinary
-    sphere in R^3).  ``n`` is the eigenspace dimension and ``eigenvalue`` is
-    ell * (ell + dim - 1).
+    sphere in R^3).  ``n`` is the eigenspace dimension; the Laplace
+    eigenvalue is ell * (ell + dim - 1).
     """
 
     ell: int
@@ -106,14 +106,6 @@ class HarmonicLevel:
     @property
     def n(self) -> int:
         return eigenspace_dim(self.ell, self.dim)
-
-    @property
-    def eigenvalue(self) -> int:
-        return self.ell * (self.ell + self.dim - 1)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.dim + 1
 
 
 def _as_float_array(x: ArrayLike) -> tuple[np.ndarray, bool]:

@@ -16,7 +16,6 @@ by the harness, never hard-coded.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, get_type_hints
@@ -67,17 +66,6 @@ class BoundReport:
         # be inf; only NaN carries no value
         if math.isnan(self.bound_value):
             raise ValueError("bound_value is NaN")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "inputs": dict(self.inputs),
-                "bound_value": self.bound_value,
-                "anchor": self.anchor,
-            },
-            sort_keys=True,
-        )
 
 
 def bad_set_bound(epsilon: float, n: int, sigma_sq: float, c: float) -> float:

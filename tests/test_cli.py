@@ -31,7 +31,6 @@ from sphex.harmonics import (
     read_coefficients_csv,
     sample_gaussian,
     stream,
-    write_coefficients_csv,
 )
 from sphex.sphere_geom import icosphere, iso_latitude_grid
 from sphex.specfun import HarmonicLevel
@@ -59,7 +58,7 @@ def zonal_csv(tmp_path):
     alpha = np.zeros(lv.n)
     alpha[0] = 1.0
     path = tmp_path / "zonal.csv"
-    write_coefficients_csv(CoefficientVector(lv, alpha, 3.0), str(path))
+    path.write_text(coefficients_csv_text(CoefficientVector(lv, alpha, 3.0)))
     return str(path)
 
 

@@ -8,6 +8,8 @@ analysis of the critical parallels).
 """
 
 import csv
+import dataclasses
+import hashlib
 import io
 import math
 import warnings
@@ -37,7 +39,7 @@ from sphex.harmonics import (
     stream,
 )
 from sphex.specfun import CriticalKind, HarmonicLevel, _normal_cdf, gaussian
-from sphex.sphere_geom import SpherePoint, icosphere, iso_latitude_grid
+from sphex.sphere_geom import icosphere, iso_latitude_grid
 
 
 def zonal_coeffs(ell: int, radius: float = 1.0) -> CoefficientVector:
@@ -383,14 +385,13 @@ class TestFindCriticalPointsDegreeOne:
             cps = find_critical_points(cv)
             assert not cps.degenerate_flag
             assert len(cps) == 2
-            vals = sorted(p.value for p in cps.points)
+            vals = np.sort(cps.values)
             expect = math.sqrt(3.0) * radius
             assert vals[0] == pytest.approx(-expect, rel=1e-9)
             assert vals[1] == pytest.approx(expect, rel=1e-9)
-            kinds = {p.kind for p in cps.points}
-            assert kinds == {CriticalKind.MINIMUM, CriticalKind.MAXIMUM}
+            assert sorted(cps.index.tolist()) == [0, 2]  # a minimum and a maximum
             # antipodal positions
-            x0, x1 = (p.position.coords for p in cps.points)
+            x0, x1 = cps.points
             assert np.allclose(x0, -x1, atol=1e-8)
 
 
@@ -410,14 +411,13 @@ class TestFindCriticalPointsDegreeTwo:
             cps = find_critical_points(cv)
             assert not cps.degenerate_flag
             assert len(cps) == 6
-            values = np.sort([p.value for p in cps.points])
+            values = np.sort(cps.values)
             assert np.allclose(values, np.repeat(eigs, 2), atol=1e-8)
             counts = cps.counts()
             assert counts == {"minimum": 2, "maximum": 2, "saddle": 2}
             # saddles carry the middle eigenvalue
-            for p in cps.points:
-                if p.kind is CriticalKind.SADDLE:
-                    assert p.value == pytest.approx(eigs[1], abs=1e-8)
+            saddle_values = cps.values[cps.index == 1]
+            assert np.allclose(saddle_values, eigs[1], atol=1e-8)
 
 
 class TestFindCriticalPointsZonal:
@@ -430,7 +430,7 @@ class TestFindCriticalPointsZonal:
         parallels = np.array([s * math.acos(c) for s, c in
                               [(1, 1.0), (1, root), (1, 0.0), (1, -root),
                                (1, -1.0)]])
-        found_thetas = np.array([p.position.theta for p in cps.points])
+        found_thetas = np.arccos(np.clip(cps.points[:, 2], -1.0, 1.0))
         # every found point sits on one of the critical parallels
         dist = np.min(np.abs(found_thetas[:, None] - parallels[None, :]),
                       axis=1)
@@ -442,10 +442,8 @@ class TestFindCriticalPointsZonal:
         # found values match the 1-d Legendre oracle 3 * P4(cos theta)
         coef = np.zeros(5)
         coef[4] = 1.0
-        for p in cps.points:
-            expect = 3.0 * np.polynomial.legendre.legval(
-                math.cos(p.position.theta), coef)
-            assert p.value == pytest.approx(float(expect), abs=1e-8)
+        expect = 3.0 * np.polynomial.legendre.legval(cps.points[:, 2], coef)
+        assert np.allclose(cps.values, expect, atol=1e-8, rtol=0)
 
 
 class TestFindCriticalPointsGeneric:
@@ -462,29 +460,24 @@ class TestFindCriticalPointsGeneric:
         cv = sample_gaussian(HarmonicLevel(6, 2), stream(15, 0, "resid"))
         cps = find_critical_points(cv)
         bound = 1e-8 * cv.level.ell * cv.radius
-        theta = np.array([p.position.theta for p in cps.points])
-        phi = np.array([p.position.phi for p in cps.points])
-        _, g_t, g_p, *_ = harmonics._frame_jet2(cv, theta, phi)
-        for i, p in enumerate(cps.points):
-            assert p.gradient_residual < bound
-            assert float(np.hypot(g_t[i], g_p[i])) < 10 * bound
+        x, y, z = cps.points.T
+        _, g_t, g_p, *_ = harmonics._frame_jet2(
+            cv, np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x))
+        assert np.all(cps.residuals < bound)
+        assert np.all(np.hypot(g_t, g_p) < 10 * bound)
 
     def test_scale_invariance(self):
         cv = sample_gaussian(HarmonicLevel(5, 2), stream(16, 0, "scale"))
         base = find_critical_points(cv)
-        base_pos = sorted(tuple(np.round(p.position.coords, 9))
-                          for p in base.points)
+        base_pos = sorted(tuple(np.round(x, 9)) for x in base.points)
         for c in (0.5, 2.0, 10.0):
             scaled = find_critical_points(cv.scaled(c))
             assert len(scaled) == len(base)
-            pos = sorted(tuple(np.round(p.position.coords, 9))
-                         for p in scaled.points)
+            pos = sorted(tuple(np.round(x, 9)) for x in scaled.points)
             for a, b in zip(base_pos, pos):
                 assert np.allclose(a, b, atol=1e-7)
-            vals_base = sorted(p.value for p in base.points)
-            vals_scaled = sorted(p.value for p in scaled.points)
-            assert np.allclose(np.array(vals_scaled),
-                               c * np.array(vals_base), rtol=1e-9)
+            assert np.allclose(np.sort(scaled.values),
+                               c * np.sort(base.values), rtol=1e-9)
 
     @pytest.mark.parametrize("ell", [7, 8, 16])
     def test_critical_set_is_antipodal(self, ell):
@@ -492,22 +485,19 @@ class TestFindCriticalPointsGeneric:
         # the set at value (-1)^ell f; for odd ell the antipode of a maximum
         # is a minimum and vice versa, and saddles stay saddles
         sign = (-1) ** ell
-        mirror = {CriticalKind.MINIMUM: CriticalKind.MAXIMUM,
-                  CriticalKind.MAXIMUM: CriticalKind.MINIMUM,
-                  CriticalKind.SADDLE: CriticalKind.SADDLE}
         for rep in range(2):
             cv = sample_gaussian(HarmonicLevel(ell, 2), stream(25, rep, "parity"))
             cps = find_critical_points(cv)
             assert not cps.degenerate_flag
-            xyz = np.array([p.position.coords for p in cps.points])
+            xyz = cps.points
             gap = np.linalg.norm(xyz[:, None, :] + xyz[None, :, :], axis=2)
             partner = gap.argmin(axis=1)
             assert gap[np.arange(len(cps)), partner].max() < 1e-7
             assert np.array_equal(np.sort(partner), np.arange(len(cps)))
-            for p, j in zip(cps.points, partner):
-                q = cps.points[j]
-                assert abs(q.value - sign * p.value) <= 1e-9 * cv.radius
-                assert q.kind is (p.kind if sign > 0 else mirror[p.kind])
+            value_gap = np.abs(cps.values[partner] - sign * cps.values)
+            assert value_gap.max() <= 1e-9 * cv.radius
+            mirrored = cps.index if sign > 0 else 2 - cps.index
+            assert np.array_equal(cps.index[partner], mirrored)
 
     def test_close_saddle_extremum_pairs_are_kept(self):
         # replicate 19 of TestCriticalGolden's epc cell at ell=8 has two
@@ -562,9 +552,9 @@ class TestSeedRings:
             cv = sample_gaussian(HarmonicLevel(ell, 2), stream(24, rep, "cache"))
             cps = find_critical_points(cv)
             return (
-                [p.position.coords.tolist() for p in cps.points],
-                [p.value for p in cps.points],
-                [p.kind for p in cps.points],
+                cps.points.tolist(),
+                cps.values.tolist(),
+                cps.index.tolist(),
                 cps.rotation_attempts,
             )
 
@@ -572,6 +562,109 @@ class TestSeedRings:
         for rep, ell in enumerate((8, 12, 8)):
             excursion._seed_rings.cache_clear()
             assert runs[rep] == search(ell, rep)
+
+
+def empty_set() -> CriticalPointSet:
+    """A set with no points, as an attempt whose Newton search found nothing."""
+    return CriticalPointSet(HarmonicLevel(4, 2), np.empty((0, 3)), np.empty(0),
+                            np.empty(0), np.empty((0, 2)), np.empty(0, dtype=int))
+
+
+# The per-point oracles below are the classification and counting loops the
+# package ran before its critical sets became columns.  They read only the
+# eigenvalue and value columns, so they check the Morse-index column too.
+
+
+def oracle_kinds(cps: CriticalPointSet) -> list:
+    kinds = []
+    for lo, hi in cps.eigs.tolist():
+        if hi < 0:
+            kinds.append(CriticalKind.MAXIMUM)
+        elif lo > 0:
+            kinds.append(CriticalKind.MINIMUM)
+        else:
+            kinds.append(CriticalKind.SADDLE)
+    return kinds
+
+
+def oracle_counts(cps: CriticalPointSet) -> dict:
+    out = {"minimum": 0, "maximum": 0, "saddle": 0}
+    for kind in oracle_kinds(cps):
+        out[kind.value] += 1
+    return out
+
+
+def oracle_count_above(cps: CriticalPointSet, u: float, kind: CriticalKind) -> int:
+    if kind is CriticalKind.CRITICAL:
+        members = {CriticalKind.MINIMUM, CriticalKind.MAXIMUM, CriticalKind.SADDLE}
+    elif kind is CriticalKind.EXTREMUM:
+        members = {CriticalKind.MINIMUM, CriticalKind.MAXIMUM}
+    else:
+        members = {kind}
+    return sum(1 for k, v in zip(oracle_kinds(cps), cps.values.tolist())
+               if k in members and v >= u)
+
+
+def oracle_morse(cps: CriticalPointSet, u: float) -> int:
+    chi = 0
+    for k, v in zip(oracle_kinds(cps), cps.values.tolist()):
+        if v >= u:
+            chi += -1 if k is CriticalKind.SADDLE else 1
+    return chi
+
+
+@pytest.fixture(scope="module", params=["ell1", "ell2", "ell8", "ell24", "zonal4", "empty"])
+def oracle_set(request):
+    if request.param == "empty":
+        return empty_set()
+    if request.param == "zonal4":
+        out = find_critical_points(zonal_coeffs(4))
+        assert out.degenerate_flag and len(out) > 0
+        return out
+    ell = int(request.param[3:])
+    out = find_critical_points(
+        sample_gaussian(HarmonicLevel(ell, 2), stream(27, ell, "oracle")))
+    assert not out.degenerate_flag
+    return out
+
+
+def oracle_levels(cps: CriticalPointSet) -> list:
+    # a few fixed levels, both infinities, and point values themselves,
+    # where ">= u" must count the point
+    values = cps.values.tolist()
+    return [-math.inf, -1.0, 0.0, 0.5, math.inf, *values[:: max(1, len(values) // 12)]]
+
+
+class TestCountsAgainstPerPointOracle:
+    def test_one_row_per_point(self, oracle_set):
+        k = len(oracle_set)
+        assert oracle_set.points.shape == (k, 3)
+        assert oracle_set.eigs.shape == (k, 2)
+        for column in (oracle_set.values, oracle_set.residuals, oracle_set.index):
+            assert column.shape == (k,)
+
+    def test_index_column(self, oracle_set):
+        morse_index = {CriticalKind.MINIMUM: 0, CriticalKind.SADDLE: 1,
+                       CriticalKind.MAXIMUM: 2}
+        assert oracle_set.index.tolist() == [
+            morse_index[k] for k in oracle_kinds(oracle_set)]
+
+    def test_counts(self, oracle_set):
+        assert oracle_set.counts() == oracle_counts(oracle_set)
+
+    def test_count_above(self, oracle_set):
+        for u in oracle_levels(oracle_set):
+            for kind in CriticalKind:
+                assert count_above(oracle_set, u, kind) == oracle_count_above(
+                    oracle_set, u, kind)
+
+    def test_morse(self, oracle_set):
+        # the zonal set is flagged degenerate and refused; its points still
+        # check the arithmetic once the flag is cleared
+        morse_set = dataclasses.replace(oracle_set, degenerate_flag=False)
+        for u in oracle_levels(oracle_set):
+            assert euler_characteristic_morse(morse_set, u) == oracle_morse(
+                oracle_set, u)
 
 
 @pytest.fixture(scope="module")
@@ -602,8 +695,7 @@ class TestCountAbove:
             assert ext == mins + maxs
 
     def test_extremes(self, cps):
-        top = max(p.value for p in cps.points)
-        assert count_above(cps, top + 1.0) == 0
+        assert count_above(cps, cps.values.max() + 1.0) == 0
         assert count_above(cps) == len(cps)
 
     def test_string_kinds(self, cps):
@@ -627,23 +719,17 @@ class TestCountAbove:
 class TestEulerCharacteristic:
     def test_limits(self, epc_sample):
         _, cps = epc_sample
-        bottom = min(p.value for p in cps.points)
-        top = max(p.value for p in cps.points)
-        assert euler_characteristic_morse(cps, bottom - 1.0) == 2
-        assert euler_characteristic_morse(cps, top + 1.0) == 0
+        assert euler_characteristic_morse(cps, cps.values.min() - 1.0) == 2
+        assert euler_characteristic_morse(cps, cps.values.max() + 1.0) == 0
 
     def test_equals_signed_sum(self, epc_sample):
         _, cps = epc_sample
         for u in (-1.5, 0.0, 0.7):
-            manual = sum(
-                -1 if p.kind is CriticalKind.SADDLE else 1
-                for p in cps.points if p.value >= u
-            )
-            assert euler_characteristic_morse(cps, u) == manual
+            assert euler_characteristic_morse(cps, u) == oracle_morse(cps, u)
 
     def test_degenerate_rejected(self):
-        cps = CriticalPointSet(level=HarmonicLevel(4, 2), points=[],
-                               degenerate_flag=True)
+        cps = empty_set()
+        cps.degenerate_flag = True
         with pytest.raises(GeometryError):
             euler_characteristic_morse(cps, 0.0)
 
@@ -731,9 +817,31 @@ class TestExportCsv:
         export_critical_points_csv(cps, buf)
         rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
         assert len(rows) == len(cps)
-        kinds = {r["kind"] for r in rows}
-        assert kinds <= {"minimum", "maximum", "saddle"}
-        for row, p in zip(rows, cps.points):
-            assert float(row["value"]) == pytest.approx(p.value, rel=1e-15)
-            pos = np.array([float(row["x"]), float(row["y"]), float(row["z"])])
-            assert np.allclose(pos, p.position.coords)
+        assert [r["kind"] for r in rows] == [k.value for k in oracle_kinds(cps)]
+        table = np.array([[float(r[c]) for c in ("x", "y", "z", "value", "residual",
+                                                 "eig1", "eig2")] for r in rows])
+        assert np.array_equal(table[:, :3], cps.points)
+        assert np.array_equal(table[:, 3], cps.values)
+        assert np.array_equal(table[:, 4], cps.residuals)
+        assert np.array_equal(table[:, 5:], cps.eigs)
+
+    def test_empty_set_is_the_header(self):
+        buf = io.StringIO()
+        export_critical_points_csv(empty_set(), buf)
+        assert buf.getvalue() == "x,y,z,value,kind,residual,eig1,eig2\r\n"
+
+    # sha256 of the value, kind, residual and eigenvalue columns (header
+    # included), which do not depend on how the positions are normalized
+    @pytest.mark.parametrize("ell, rows, digest", [
+        (3, 14, "f19b405f2474e2cde1ff227ba52dd4cbdc2bc02ac3c14e9179c69eefe8781e33"),
+        (8, 82, "a0e325bf375f02d5910d4daa97f78b16c9976a4fec5a01b88befeea212c2ef4f"),
+        (16, 322, "c926090f00dd6aa4c81100bf2b8a407b3798ca54e04777db6b73e039103d1684"),
+    ])
+    def test_columns_pinned(self, ell, rows, digest):
+        cv = sample_gaussian(HarmonicLevel(ell, 2), stream(26, ell, "export"))
+        buf = io.StringIO()
+        export_critical_points_csv(find_critical_points(cv), buf)
+        table = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert len(table) == 1 + rows
+        text = "\n".join(",".join(r[3:]) for r in table)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

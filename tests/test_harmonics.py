@@ -9,7 +9,6 @@ the eigenfunction identity (the surface Laplacian equals -ell(ell+1)
 times the field).
 """
 
-import io
 import math
 
 import numpy as np
@@ -30,11 +29,10 @@ from sphex.harmonics import (
     sample_radius,
     sample_unit_coefficients,
     stream,
-    write_coefficients_csv,
 )
 from sphex.harmonics import _frame_jet2, _legendre_rows, _longitude_waves
 from sphex.specfun import HarmonicLevel, gegenbauer
-from sphex.sphere_geom import SpherePoint, iso_latitude_grid
+from sphex.sphere_geom import SpherePoint, iso_latitude_grid, quasi_uniform_grid
 
 
 def gl_product(n_theta: int, n_phi: int):
@@ -598,6 +596,15 @@ class TestSimulateField:
         sim = GramSimulator(lv, pts)
         assert sim.jitter in GramSimulator._LADDER
 
+    def test_no_unjittered_factor_past_n_points(self):
+        # six points for n = 5: the Gram is singular, but rounding lets a
+        # factor without jitter through; the ladder starts at 1e-12 instead
+        sim = GramSimulator(HarmonicLevel(2, 2), quasi_uniform_grid(2, 6))
+        assert sim.jitter == GramSimulator._LADDER[1]
+        # at n points or fewer the exact Gram is tried first
+        sim = GramSimulator(HarmonicLevel(2, 2), quasi_uniform_grid(2, 5))
+        assert sim.jitter == 0.0
+
     def test_sample_weights_come_from_the_grid_or_are_uniform(self):
         lv = HarmonicLevel(2, 2)
         grid = iso_latitude_grid(30)
@@ -673,32 +680,36 @@ class TestNonGaussian:
         assert float(powers.mean()) == pytest.approx(1.0, abs=0.02)
 
 
+def write_text(tmp_path, text: str) -> str:
+    path = tmp_path / "coeffs.csv"
+    path.write_text(text)
+    return str(path)
+
+
 class TestCoefficientsCsv:
     def test_round_trip_exact(self, tmp_path):
         cv = sample_gaussian(HarmonicLevel(6, 2), stream(50, 0, "csv"))
-        path = tmp_path / "coeffs.csv"
-        write_coefficients_csv(cv, str(path))
-        back = read_coefficients_csv(str(path))
+        back = read_coefficients_csv(write_text(tmp_path, coefficients_csv_text(cv)))
         assert back.level == cv.level
         assert back.radius == cv.radius
         assert np.array_equal(back.alpha, cv.alpha)
 
-    def test_text_form(self):
+    def test_text_form(self, tmp_path):
         cv = unit_coeffs(HarmonicLevel(1, 2), 2)
         text = coefficients_csv_text(cv)
         assert text.splitlines()[0] == "ell,d,radius,m,alpha"
-        assert read_coefficients_csv(io.StringIO(text)).level.ell == 1
+        assert read_coefficients_csv(write_text(tmp_path, text)).level.ell == 1
 
-    def test_missing_slot_rejected(self):
+    def test_missing_slot_rejected(self, tmp_path):
         text = "ell,d,radius,m,alpha\n2,2,1,1,1.0\n"
         with pytest.raises(ValueError):
-            read_coefficients_csv(io.StringIO(text))
+            read_coefficients_csv(write_text(tmp_path, text))
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            read_coefficients_csv(io.StringIO("ell,d,radius,m,alpha\n"))
+            read_coefficients_csv(write_text(tmp_path, "ell,d,radius,m,alpha\n"))
 
-    def test_bad_slot_rejected(self):
+    def test_bad_slot_rejected(self, tmp_path):
         text = "ell,d,radius,m,alpha\n0,2,1,7,1.0\n"
         with pytest.raises(ValueError):
-            read_coefficients_csv(io.StringIO(text))
+            read_coefficients_csv(write_text(tmp_path, text))

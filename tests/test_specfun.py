@@ -96,8 +96,6 @@ class TestHarmonicLevel:
     def test_fields(self):
         lv = HarmonicLevel(5, 3)
         assert lv.n == eigenspace_dim(5, 3)
-        assert lv.eigenvalue == 5 * (5 + 2)
-        assert lv.ambient_dim == 4
 
     def test_default_dim(self):
         assert HarmonicLevel(4).dim == 2

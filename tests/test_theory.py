@@ -7,7 +7,6 @@ a self-consistent wrong answer.
 """
 
 import inspect
-import json
 import math
 
 import numpy as np
@@ -396,11 +395,3 @@ class TestRegistryAndReports:
             BoundReport("x", {}, math.nan, "anchor")
         # cramer is +inf for x <= 0, a valid (vacuous) value
         assert BoundReport("x", {}, math.inf, "anchor").bound_value == math.inf
-
-    def test_report_json_round_trip(self):
-        report = evaluate_bound("mills", z=1.0)
-        blob = json.loads(report.to_json())
-        assert blob["name"] == "mills"
-        assert blob["anchor"] == report.anchor
-        assert blob["bound_value"] == pytest.approx(report.bound_value)
-        assert blob["inputs"] == {"z": 1.0}

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+from scipy.linalg import cholesky
 
 from .specfun import HarmonicLevel, gegenbauer
 from .sphere_geom import SphereGrid, SpherePoint, as_point_array
@@ -54,6 +55,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _JET_BLOCK = 2048  # points per block of _frame_jet2
+_GRAM_BLOCK = 256  # rows per block of GramSimulator's kernel
 
 
 class GeometryError(RuntimeError):
@@ -539,15 +541,23 @@ class FieldSample(NamedTuple):
 class GramSimulator:
     """Cholesky-based simulator of the Gaussian field at a fixed point set.
 
-    The Gram matrix has rank at most the eigenspace dimension, so for
-    point counts beyond that a diagonal jitter is unavoidable.  The
-    factorization is tried with no jitter while the point count does not
-    exceed the eigenspace dimension, then with 1e-12 escalated by factors
-    of 10 up to 1e-8 (``_LADDER``); the value used is kept in ``jitter``.
-    Failure beyond the ceiling raises ``GeometryError`` (degenerate
-    geometry, e.g. duplicated points).
-    Samples carry the grid's weights when ``points`` is a ``SphereGrid``
-    and uniform weights otherwise.
+    The Gram matrix G(<x_i, x_j>) is built in one N x N array, by blocks of
+    ``_GRAM_BLOCK`` rows and on the lower triangle only, and LAPACK's
+    Cholesky (``scipy.linalg.cholesky``) overwrites it with the lower
+    factor ``L`` (G = L L^T); no other N x N array is made.  The Gram has
+    rank at most the eigenspace dimension, so for point counts beyond that
+    a diagonal jitter is unavoidable.  The factorization is tried with no
+    jitter while the point count does not exceed the eigenspace dimension,
+    then with 1e-12 escalated by factors of 10 up to 1e-8 (``_LADDER``);
+    a failed attempt has overwritten part of the array, so each attempt
+    builds the Gram afresh.  The jitter used is kept in ``jitter``.
+    Repeated points, and a Gram not positive definite even with jitter
+    1e-8, raise ``GeometryError``.
+
+    ``sample`` turns an (R, N) array of standard normals into R fields by
+    one matrix product, field r being ``L @ normals[r]``.  Samples carry
+    the grid's weights when ``points`` is a ``SphereGrid`` and uniform
+    weights otherwise.
     """
 
     _LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
@@ -559,28 +569,35 @@ class GramSimulator:
                 f"points have ambient dimension {pts.shape[1]}, "
                 f"expected {level.dim + 1}"
             )
+        n_pts = pts.shape[0]
+        if len(np.unique(pts, axis=0)) < n_pts:
+            raise GeometryError("points repeat: the point set is degenerate")
         self.level = level
         self.points = pts
-        n_pts = pts.shape[0]
         self.weights = (
             points.weights if isinstance(points, SphereGrid)
             else np.full(n_pts, 1.0 / n_pts)
         )
-        cosines = pts @ pts.T
-        np.clip(cosines, -1.0, 1.0, out=cosines)
-        gram = gegenbauer(level.ell, level.dim, cosines)
-        del cosines  # one N x N array fewer alive during the factorization
+        gram = np.empty((n_pts, n_pts))
         self.jitter = 0.0
         self._chol = None
         # past n points the Gram is singular: a factor without jitter then
         # exists only by rounding, so that attempt is skipped
         ladder = self._LADDER[1:] if n_pts > level.n else self._LADDER
         for jit in ladder:
+            for i0 in range(0, n_pts, _GRAM_BLOCK):
+                i1 = min(i0 + _GRAM_BLOCK, n_pts)
+                cosines = pts[i0:i1] @ pts[:i1].T
+                np.clip(cosines, -1.0, 1.0, out=cosines)
+                gram[i0:i1, :i1] = gegenbauer(level.ell, level.dim, cosines)
+            # the exact diagonal is G(1) = 1
+            np.fill_diagonal(gram, 1.0 + jit)
             try:
-                # the exact diagonal is G(1) = 1; bump it in place instead of
-                # materializing an identity matrix next to a large Gram block
-                np.fill_diagonal(gram, 1.0 + jit)
-                self._chol = np.linalg.cholesky(gram)
+                # LAPACK reads the upper triangle of the Fortran-ordered
+                # transpose, which is the lower triangle built above, and
+                # overwrites it in place; ``clean`` zeroes the other half
+                self._chol = cholesky(gram.T, lower=False, overwrite_a=True,
+                                      check_finite=False).T
                 self.jitter = jit
                 break
             except np.linalg.LinAlgError:
@@ -591,9 +608,16 @@ class GramSimulator:
                 "jitter 1e-8; the point set is likely degenerate"
             )
 
-    def sample(self, rng: np.random.Generator) -> FieldSample:
-        z = rng.standard_normal(self.points.shape[0])
-        return FieldSample(self._chol @ z, self.weights)
+    def sample(self, normals: np.ndarray) -> list[FieldSample]:
+        """The fields ``L @ z`` for the rows ``z`` of ``normals``, an (R, N)
+        array of standard normals, by one matrix product."""
+        normals = np.asarray(normals, dtype=float)
+        if normals.ndim != 2 or normals.shape[1] != self.points.shape[0]:
+            raise ValueError(
+                f"normals must be an (R, {self.points.shape[0]}) array, "
+                f"got shape {normals.shape}"
+            )
+        return [FieldSample(values, self.weights) for values in normals @ self._chol.T]
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,9 @@ class ExperimentConfig:
     freedom) and ``a`` (threshold) apply to the ldp kind only, which has
     no sphere in it; its rows store n in the ell column.  Only kol_decay
     runs on S^d for d >= 3; the other sphere kinds use the explicit S^2
-    basis.  ``grid_cap`` bounds the point count of d >= 3 simulations,
-    where factorizing the Gram matrix is the limiting cost.
+    basis.  ``grid_cap`` (at least 2) bounds the point count N of d >= 3
+    simulations, whose simulator holds one N x N array (8 N^2 bytes) and
+    whose Cholesky factorization is the limiting cost.
     """
 
     kind: str
@@ -148,6 +149,8 @@ class ExperimentConfig:
             )
         if self.grid_density < 1:
             raise ValueError("grid_density must be positive")
+        if self.grid_cap < 2:
+            raise ValueError(f"grid_cap must be >= 2, got {self.grid_cap}")
         if not self.u_list:
             raise ValueError("u_list must be nonempty")
         if self.centering not in ("pilot", "analytic"):
@@ -517,9 +520,10 @@ def _run_kol_decay(record: ExperimentRecord) -> None:
         else:
             n_pts = min(config.grid_density * ell**config.dim, config.grid_cap)
             sim = GramSimulator(cell.level, quasi_uniform_grid(config.dim, n_pts))
-            dists = cell.replicates(
-                purpose, lambda rng: kolmogorov_distance(sim.sample(rng))
+            normals = cell.replicates(
+                purpose, lambda rng: rng.standard_normal(len(sim.points))
             )
+            dists = np.array([kolmogorov_distance(s) for s in sim.sample(normals)])
             entry["jitter"] = sim.jitter
             del sim  # free its N x N factor before the next cell's Gram is built
         mean, se = _mean_se(dists)

@@ -465,6 +465,24 @@ class TestEnvironment:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("cap", [0, 1, -5])
+    def test_experiment_grid_cap_below_2_exits_2(self, cap, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            "[kol_decay]\n"
+            "ell_list = 2, 3, 4\n"
+            "seed = 3\n"
+            "replicates = 30\n"
+            "dim = 3\n"
+            f"grid_cap = {cap}\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "run", str(ini), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: grid_cap must be >= 2, got {cap}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("kind", [
         "variance_scaling", "bad_set", "supnorm", "nongaussian", "epc",
         "critical_density",

@@ -556,8 +556,8 @@ class TestCovariance:
         x = SpherePoint.from_angles(0.9, 0.0).coords
         y = SpherePoint.from_angles(1.7, 1.2).coords
         sim = GramSimulator(lv, np.vstack([x, y]))
-        rng = stream(30, 0, "cov.mc")
-        draws = np.array([sim.sample(rng).values for _ in range(10_000)])
+        normals = stream(30, 0, "cov.mc").standard_normal((10_000, 2))
+        draws = np.array([s.values for s in sim.sample(normals)])
         target = gegenbauer(lv.ell, lv.dim, x @ y)
         est = float(np.mean(draws[:, 0] * draws[:, 1]))
         se = math.sqrt((1.0 + target**2) / draws.shape[0])
@@ -569,9 +569,8 @@ class TestSimulateField:
         lv = HarmonicLevel(5, 3)
         pt = np.eye(4)[0]
         sim = GramSimulator(lv, pt[None, :])
-        rng = stream(31, 0, "marginal")
-        vals = np.array([float(sim.sample(rng).values[0])
-                         for _ in range(10_000)])
+        normals = stream(31, 0, "marginal").standard_normal((10_000, 1))
+        vals = np.array([s.values[0] for s in sim.sample(normals)])
         ks = stats.kstest(vals, stats.norm.cdf)
         assert ks.statistic < 0.02
 
@@ -579,15 +578,16 @@ class TestSimulateField:
         lv = HarmonicLevel(7, 2)
         x = SpherePoint.from_angles(1.0, 0.5).coords
         sim = GramSimulator(lv, np.vstack([x, -x]))
-        s = sim.sample(stream(32, 0, "anti"))
+        [s] = sim.sample(stream(32, 0, "anti").standard_normal((1, 2)))
         assert s.values[1] == pytest.approx(-s.values[0], abs=1e-5)
 
     def test_reproducible(self):
         lv = HarmonicLevel(3, 2)
         pts = iso_latitude_grid(30).points
-        a = GramSimulator(lv, pts).sample(stream(33, 5, "repro")).values
-        b = GramSimulator(lv, pts).sample(stream(33, 5, "repro")).values
-        assert np.array_equal(a, b)
+        normals = stream(33, 5, "repro").standard_normal((3, len(pts)))
+        a = GramSimulator(lv, pts).sample(normals)
+        b = GramSimulator(lv, pts).sample(normals)
+        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
     def test_jitter_reported_for_oversampled_grid(self):
         # more points than the eigenspace dimension forces rank deficiency
@@ -608,10 +608,11 @@ class TestSimulateField:
     def test_sample_weights_come_from_the_grid_or_are_uniform(self):
         lv = HarmonicLevel(2, 2)
         grid = iso_latitude_grid(30)
-        s = GramSimulator(lv, grid).sample(stream(36, 0, "w"))
-        assert s.weights is grid.weights
-        s = GramSimulator(lv, grid.points).sample(stream(36, 0, "w"))
-        assert np.array_equal(s.weights, np.full(len(grid), 1 / len(grid)))
+        normals = stream(36, 0, "w").standard_normal((2, len(grid)))
+        for s in GramSimulator(lv, grid).sample(normals):
+            assert s.weights is grid.weights
+        for s in GramSimulator(lv, grid.points).sample(normals):
+            assert np.array_equal(s.weights, np.full(len(grid), 1 / len(grid)))
 
     def test_explicit_sample_kind(self):
         cv = sample_gaussian(HarmonicLevel(3, 2), stream(35, 0, "exp"))

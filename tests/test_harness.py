@@ -34,6 +34,8 @@ from sphex.harness import (
     write_record_csv,
     write_sidecar_json,
 )
+from sphex.excursion import kolmogorov_distance
+from sphex.harmonics import stream
 from sphex.specfun import eigenspace_dim
 
 
@@ -380,6 +382,31 @@ class TestKolDecay:
         run_experiment(small_config(kind="kol_decay", ell_list=[2, 3, 4], dim=3,
                                     replicates=30))
         assert alive_at_build == [0, 0, 0]
+
+    def test_d3_fields_are_the_factor_times_each_replicates_normals(self, monkeypatch):
+        # a cell draws all its fields by one matrix product, yet field r is
+        # still the factor times the normals of replicate r's own stream
+        sims, fields = [], []
+
+        class TrackedSimulator(harness.GramSimulator):
+            def __init__(self, level, points):
+                super().__init__(level, points)
+                sims.append(self)
+
+        def recording_distance(sample):
+            fields.append(sample.values)
+            return kolmogorov_distance(sample)
+
+        monkeypatch.setattr(harness, "GramSimulator", TrackedSimulator)
+        monkeypatch.setattr(harness, "kolmogorov_distance", recording_distance)
+        config = small_config(kind="kol_decay", ell_list=[2, 3], dim=3, replicates=30)
+        run_experiment(config)
+        assert len(fields) == 60
+        for ell, sim, cell_fields in zip(config.ell_list, sims, (fields[:30], fields[30:])):
+            for rep, values in enumerate(cell_fields):
+                rng = stream(config.seed, rep, f"kol_decay:ell={ell}")
+                expected = sim._chol @ rng.standard_normal(len(sim.points))
+                np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
 
 
 class TestSupnorm:

@@ -11,9 +11,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import special as sps
 
-from sphex.harmonics import GramSimulator
+from sphex.harmonics import GeometryError, GramSimulator
 from sphex.specfun import (
     _KERNEL_BLOCK,
     CriticalKind,
@@ -27,6 +28,7 @@ from sphex.specfun import (
     gegenbauer,
     gegenbauer_hilb,
 )
+from sphex.sphere_geom import quasi_uniform_grid
 
 
 def dim_oracle(ell: int, d: int) -> int:
@@ -270,12 +272,61 @@ class TestGegenbauerKernel:
     def test_gram_simulator_factor(self):
         # d=3, l=4: n=25 << 600 points, so the factor needs the jitter ladder
         level = HarmonicLevel(4, 3)
-        pts = np.random.default_rng(6).standard_normal((600, 4))
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        pts = _unit_rows(6, 600)
         sim = GramSimulator(level, pts)
-        gram = gegenbauer_unblocked(4, 3, np.clip(pts @ pts.T, -1.0, 1.0))
-        np.fill_diagonal(gram, 1.0 + sim.jitter)
-        assert np.array_equal(sim._chol, np.linalg.cholesky(gram))
+        assert sim.jitter == 1e-12
+        assert np.array_equal(sim._chol, _factor_oracle(level, pts, sim.jitter))
+
+
+def _unit_rows(seed: int, count: int, dim: int = 3) -> np.ndarray:
+    pts = np.random.default_rng(seed).standard_normal((count, dim + 1))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def _factor_oracle(level: HarmonicLevel, pts: np.ndarray, jitter: float) -> np.ndarray:
+    """The lower Cholesky factor of the whole-array Gram plus ``jitter`` I,
+    by the LAPACK routine ``GramSimulator`` calls (scipy's potrf)."""
+    gram = gegenbauer_unblocked(level.ell, level.dim, np.clip(pts @ pts.T, -1.0, 1.0))
+    np.fill_diagonal(gram, 1.0 + jitter)
+    return scipy.linalg.cholesky(gram, lower=False).T
+
+
+class TestGramSimulatorFactor:
+    def test_peak_memory_is_one_gram(self):
+        # the kernel is built by row blocks into the array LAPACK factors in
+        # place: no N x N cosine matrix and no second N x N factor, only a
+        # block of cosines and one of kernel values (3 MB each here)
+        pts = quasi_uniform_grid(3, 1500).points
+        tracemalloc.start()
+        try:
+            sim = GramSimulator(HarmonicLevel(8, 3), pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sim._chol.nbytes + 10 * 2**20
+
+    def test_later_rung_rebuilds_the_gram(self):
+        # for l=1 the kernel is <x, y>: rows of norm^2 1 + 5e-12 give the
+        # Gram r^2 U U^T + (1 + jitter - r^2) I, whose smallest eigenvalue
+        # (512 points, rank 4) is jitter - 5e-12, so 1e-12 fails and 1e-11
+        # factors the Gram built afresh
+        level = HarmonicLevel(1, 3)
+        pts = _unit_rows(7, 512) * math.sqrt(1.0 + 5e-12)
+        sim = GramSimulator(level, pts)
+        assert sim.jitter == 1e-11
+        assert np.array_equal(sim._chol, _factor_oracle(level, pts, 1e-11))
+
+    def test_no_factor_past_the_ladder(self):
+        pts = _unit_rows(7, 512) * math.sqrt(1.0 + 5e-8)
+        with pytest.raises(GeometryError, match="not positive definite"):
+            GramSimulator(HarmonicLevel(1, 3), pts)
+
+    @pytest.mark.parametrize("count", [2, 300])
+    def test_repeated_points_refused(self, count):
+        pts = _unit_rows(8, count)
+        pts[-1] = pts[0]
+        with pytest.raises(GeometryError, match="points repeat"):
+            GramSimulator(HarmonicLevel(4, 3), pts)
 
 
 class TestGegenbauerHilb:

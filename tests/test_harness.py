@@ -19,6 +19,8 @@ import pytest
 from scipy.stats import binomtest
 
 from sphex import harness, theory
+from sphex.excursion import kolmogorov_distance
+from sphex.harmonics import stream
 from sphex.harness import (
     CSV_HEADER,
     KINDS,
@@ -34,8 +36,6 @@ from sphex.harness import (
     write_record_csv,
     write_sidecar_json,
 )
-from sphex.excursion import kolmogorov_distance
-from sphex.harmonics import stream
 from sphex.specfun import eigenspace_dim
 
 

@@ -5,16 +5,16 @@ header row, UTF-8, LF line endings); diagnostics go to stderr behind
 ``--verbose``.  Exit codes: 0 success, 2 invalid usage or argument
 validation, 1 runtime failure.
 
-``--threads`` is applied by scanning argv before any numerical module is
-imported, because the BLAS thread pools read their environment variables
-at import time; for the same reason every handler imports the library
-lazily.
+``--threads`` sets the BLAS thread-pool environment variables after the
+arguments are parsed and before the handler runs.  The pools read them
+when numpy is imported, so every handler imports the library lazily.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -29,23 +29,15 @@ _THREAD_ENV_VARS = (
 )
 
 
-def _apply_thread_flag(argv: Sequence[str]) -> None:
-    value: Optional[str] = None
-    for i, token in enumerate(argv):
-        if token == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif token.startswith("--threads="):
-            value = token.split("=", 1)[1]
-    if value is None:
-        return
-    try:
-        count = int(value)
-    except ValueError:
-        return  # argparse will reject it with a proper message
-    if count < 1:
-        return
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(count)
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
 
 
 def fmt12(value) -> str:
@@ -75,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true",
                         help="log progress to stderr")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_int_at_least(1), default=None,
                         help="cap BLAS/OpenMP thread pools (default: all)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -97,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw one coefficient vector as CSV")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--model", default="gaussian",
                    help="gaussian | mixture:a,b | mixture:a@p,b@q | student:dof")
     p.add_argument("--out", default=None,
@@ -146,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", metavar="CONFIG.INI")
     p.add_argument("--out", default=None,
                    help="output directory (default: $SPHEX_OUT)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
                    help="override every config seed")
     p.set_defaults(handler=_cmd_experiment)
 
@@ -278,8 +270,9 @@ def _cmd_supnorm(args: argparse.Namespace) -> int:
     from .excursion import sup_norm
 
     coeffs = _load_coefficients(args.input)
-    value, point = sup_norm(coeffs)
-    log.info("attained near theta=%.6f phi=%.6f", point.theta, point.phi)
+    value, (x, y, z) = sup_norm(coeffs)
+    log.info("attained near theta=%.6f phi=%.6f",
+             math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x))
     print(fmt12(value))
     return 0
 
@@ -340,14 +333,15 @@ def _cmd_theory(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_flag(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    if args.threads is not None:
+        for var in _THREAD_ENV_VARS:
+            os.environ[var] = str(args.threads)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,

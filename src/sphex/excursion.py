@@ -33,7 +33,7 @@ from .harmonics import (
     evaluate_grid,
 )
 from .specfun import CriticalKind, _normal_cdf
-from .sphere_geom import SphereGrid, SphereMesh, SpherePoint, iso_latitude_grid
+from .sphere_geom import SphereGrid, SphereMesh, iso_latitude_grid
 
 __all__ = [
     "CriticalPointSet",
@@ -457,24 +457,17 @@ def euler_characteristic_morse(cps: CriticalPointSet, u: float) -> int:
 
 
 def euler_characteristic_mesh(
-    values: Union[CoefficientVector, np.ndarray],
-    mesh: SphereMesh,
-    u: float,
+    coeffs: CoefficientVector, mesh: SphereMesh, u: float
 ) -> int:
     """Euler characteristic of the vertex-threshold subcomplex at level u.
 
-    A vertex joins the subcomplex when its value is >= u; an edge or face
-    joins when all its vertices do.  For a piecewise-linear interpolant
-    this equals the Euler characteristic of the excursion set whenever u
-    is not a vertex value.
+    The field ``coeffs`` is evaluated at the mesh vertices.  A vertex joins
+    the subcomplex when its value is >= u; an edge or face joins when all
+    its vertices do.  For a piecewise-linear interpolant this equals the
+    Euler characteristic of the excursion set whenever u is not a vertex
+    value.
     """
-    if isinstance(values, CoefficientVector):
-        vals = evaluate(values, mesh.vertices)
-    else:
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (len(mesh),):
-            raise ValueError("values must be given at every mesh vertex")
-    above = vals >= u
+    above = evaluate(coeffs, mesh.vertices) >= u
     n_v = int(np.count_nonzero(above))
     n_e = int(np.count_nonzero(above[mesh.edges].all(axis=1)))
     n_f = int(np.count_nonzero(above[mesh.faces].all(axis=1)))
@@ -483,8 +476,8 @@ def euler_characteristic_mesh(
 
 def sup_norm(
     coeffs: CoefficientVector, grid: Optional[SphereGrid] = None
-) -> tuple[float, SpherePoint]:
-    """Sup norm of the field and a point attaining it.
+) -> tuple[float, np.ndarray]:
+    """Sup norm of the field and a point attaining it, as a (3,) unit array.
 
     Scans an iso-latitude grid of at least 40 ell^2 cells (or the supplied
     grid, which callers evaluating many replicates should construct once)
@@ -504,7 +497,7 @@ def sup_norm(
     theta = float(np.arccos(np.clip(grid.points[best, 2], -1.0, 1.0)))
     phi = float(np.arctan2(grid.points[best, 1], grid.points[best, 0]))
     result = abs(best_val)
-    arg = SpherePoint(grid.points[best])
+    arg = grid.points[best] / float(np.linalg.norm(grid.points[best]))
     tol = 1e-10 * max(1.0, ell * coeffs.radius)
     step_cap = 0.5 * math.pi / ell
     t, p = theta, phi
@@ -535,10 +528,13 @@ def sup_norm(
             t, p = -t, p + math.pi
         elif t > math.pi:
             t, p = 2.0 * math.pi - t, p + math.pi
-    final = float(evaluate(coeffs, SpherePoint.from_angles(t, p).coords))
+    st = math.sin(t)
+    xyz = np.array([st * math.cos(p), st * math.sin(p), math.cos(t)])
+    polished = xyz / float(np.linalg.norm(xyz))
+    final = float(evaluate(coeffs, polished[None, :])[0])
     if abs(final) > result:
         result = abs(final)
-        arg = SpherePoint.from_angles(t, p)
+        arg = polished
     return result, arg
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import cholesky
 
 from .specfun import HarmonicLevel, gegenbauer
-from .sphere_geom import SphereGrid, SpherePoint, as_point_array
+from .sphere_geom import SphereGrid
 
 __all__ = [
     "CoefficientVector",
@@ -296,20 +296,18 @@ def _rotated_coefficients(
     return CoefficientVector(coeffs.level, alpha / norm, coeffs.radius)
 
 
-def evaluate(
-    coeffs: CoefficientVector,
-    point: Union[SpherePoint, np.ndarray, Sequence[SpherePoint]],
-) -> Union[float, np.ndarray]:
-    """Evaluate the field at one point or an array of points (S^2 only)."""
+def evaluate(coeffs: CoefficientVector, points: np.ndarray) -> np.ndarray:
+    """The field's values (N,) at the unit vectors ``points`` (N, 3), on S^2.
+
+    A single point is a (1, 3) array; any other shape is refused.
+    """
     _check_s2(coeffs.level)
-    scalar = isinstance(point, SpherePoint) or (
-        isinstance(point, np.ndarray) and point.ndim == 1
-    )
-    pts = as_point_array(point)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be an (N, 3) array, got shape {pts.shape}")
     theta, phi = _angles_of(pts)
     basis = _basis_matrix(coeffs.level.ell, theta, phi)
-    vals = coeffs.radius * (basis @ coeffs.alpha)
-    return float(vals[0]) if scalar else vals
+    return coeffs.radius * (basis @ coeffs.alpha)
 
 
 def _ring_tables(grid: SphereGrid, ell: int) -> tuple[np.ndarray, ...]:
@@ -554,16 +552,25 @@ class GramSimulator:
     Repeated points, and a Gram not positive definite even with jitter
     1e-8, raise ``GeometryError``.
 
+    ``points`` is a ``SphereGrid``, whose weights the samples carry, or an
+    (N, d+1) array of unit vectors, whose samples carry uniform weights.
     ``sample`` turns an (R, N) array of standard normals into R fields by
-    one matrix product, field r being ``L @ normals[r]``.  Samples carry
-    the grid's weights when ``points`` is a ``SphereGrid`` and uniform
-    weights otherwise.
+    one matrix product, field r being ``L @ normals[r]``.
     """
 
     _LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 
-    def __init__(self, level: HarmonicLevel, points) -> None:
-        pts = as_point_array(points)
+    def __init__(self, level: HarmonicLevel,
+                 points: Union[SphereGrid, np.ndarray]) -> None:
+        if isinstance(points, SphereGrid):
+            pts, weights = points.points, points.weights
+        else:
+            pts = np.asarray(points, dtype=float)
+            if pts.ndim != 2:
+                raise ValueError(
+                    f"points must be an (N, d+1) array, got shape {pts.shape}"
+                )
+            weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
         if pts.shape[1] != level.dim + 1:
             raise ValueError(
                 f"points have ambient dimension {pts.shape[1]}, "
@@ -574,10 +581,7 @@ class GramSimulator:
             raise GeometryError("points repeat: the point set is degenerate")
         self.level = level
         self.points = pts
-        self.weights = (
-            points.weights if isinstance(points, SphereGrid)
-            else np.full(n_pts, 1.0 / n_pts)
-        )
+        self.weights = weights
         gram = np.empty((n_pts, n_pts))
         self.jitter = 0.0
         self._chol = None

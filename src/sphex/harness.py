@@ -102,7 +102,8 @@ class ExperimentConfig:
     runs on S^d for d >= 3; the other sphere kinds use the explicit S^2
     basis.  ``grid_cap`` (at least 2) bounds the point count N of d >= 3
     simulations, whose simulator holds one N x N array (8 N^2 bytes) and
-    whose Cholesky factorization is the limiting cost.
+    whose Cholesky factorization is the limiting cost; N is
+    ``grid_density * ell**dim`` below the cap, and must be at least 2.
     """
 
     kind: str
@@ -137,6 +138,12 @@ class ExperimentConfig:
                 raise ValueError("ell_list must be strictly increasing")
             if self.kind == "supnorm" and self.ell_list[0] < 2:
                 raise ValueError("supnorm needs ell >= 2: it scales by sqrt(log ell)")
+            if (self.kind in ("kol_decay", "epc", "critical_density")
+                    and self.ell_list[0] < 1):
+                raise ValueError(f"{self.kind} needs every ell in ell_list >= 1, "
+                                 f"got {self.ell_list[0]}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replicates < 30:
             raise ValueError(
                 "replicates must be >= 30 for standard errors to mean anything"
@@ -149,6 +156,13 @@ class ExperimentConfig:
             )
         if self.grid_density < 1:
             raise ValueError("grid_density must be positive")
+        if self.kind == "kol_decay" and self.dim > 2:
+            n_min = self.grid_density * self.ell_list[0] ** self.dim
+            if n_min < 2:
+                raise ValueError(
+                    f"kol_decay needs grid_density * ell**dim >= 2 points, "
+                    f"got {n_min} at ell = {self.ell_list[0]}"
+                )
         if self.grid_cap < 2:
             raise ValueError(f"grid_cap must be >= 2, got {self.grid_cap}")
         if not self.u_list:
@@ -909,11 +923,11 @@ def run_config_file(path: str, out_dir: str,
     import os
 
     configs = parse_config_file(path)
+    if seed_override is not None:
+        configs = [replace(config, seed=seed_override) for config in configs]
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     for config in configs:
-        if seed_override is not None:
-            config = replace(config, seed=seed_override)
         record = run_experiment(config)
         base = os.path.join(out_dir, config.kind)
         csv_path = base + ".csv"

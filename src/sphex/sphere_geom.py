@@ -1,6 +1,8 @@
 """Point sets, quadrature grids and triangulated meshes on spheres.
 
-The evaluation-heavy parts of the package run on structured iso-latitude
+A point set on S^d is a plain (N, d+1) float array of unit vectors; grids
+and meshes hold theirs in ``points`` and ``vertices``.  The
+evaluation-heavy parts of the package run on structured iso-latitude
 grids (rings of constant colatitude with a shared uniform longitude
 lattice), which factor the basis evaluation into matrix products.  The
 quasi-uniform grid is the point set of the Gram-based simulation on S^d,
@@ -11,79 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "SphereGrid",
     "SphereMesh",
-    "SpherePoint",
     "icosphere",
     "iso_latitude_grid",
     "quasi_uniform_grid",
 ]
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point on the unit sphere S^dim embedded in R^{dim+1}.
-
-    The stored coordinate vector is normalized on construction; input whose
-    norm deviates from 1 by more than 1e-6 is rejected rather than silently
-    rescaled, since that usually indicates a bug upstream.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or c.shape[0] < 3:
-            raise ValueError("coords must be a vector in R^{d+1}, d >= 2")
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"coords norm {norm:.8f} is not 1 within 1e-6")
-        object.__setattr__(self, "coords", c / norm)
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "SpherePoint":
-        """Point on S^2 at colatitude theta in [0, pi], longitude phi."""
-        st = math.sin(theta)
-        return cls(np.array([st * math.cos(phi), st * math.sin(phi),
-                             math.cos(theta)]))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0] - 1
-
-    @property
-    def theta(self) -> float:
-        """Colatitude on S^2 (angle from the last coordinate axis)."""
-        return math.acos(max(-1.0, min(1.0, float(self.coords[-1]))))
-
-    @property
-    def phi(self) -> float:
-        return math.atan2(float(self.coords[1]), float(self.coords[0]))
-
-    def __array__(self, dtype=None) -> np.ndarray:
-        return np.asarray(self.coords, dtype=dtype)
-
-
-def as_point_array(points: Union[np.ndarray, Sequence[SpherePoint], "SphereGrid"]) -> np.ndarray:
-    """Coerce points given in any public form to an (N, d+1) float array."""
-    if isinstance(points, SphereGrid):
-        return points.points
-    if isinstance(points, SpherePoint):
-        return points.coords[None, :]
-    if isinstance(points, np.ndarray):
-        arr = np.atleast_2d(np.asarray(points, dtype=float))
-    else:
-        arr = np.array([np.asarray(p, dtype=float) for p in points])
-    if arr.ndim != 2:
-        raise ValueError("points must be an (N, d+1) array or sequence")
-    return arr
 
 
 @dataclass

@@ -6,6 +6,7 @@ same value computed through the library, formatted with the CLI's own
 ``logging.basicConfig`` is per-process state.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +42,28 @@ def _child_env() -> dict:
     package_root = os.path.dirname(os.path.dirname(sphex.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+# Runs main() on its argv, then prints the thread count of each OpenBLAS
+# bundled with numpy, asked through the library's own API.
+_OPENBLAS_PROBE = """
+import ctypes, glob, json, pathlib, sys
+from sphex.cli import main
+main(sys.argv[1:])
+import numpy
+counts = []
+libs = pathlib.Path(numpy.__file__).parent.parent / "numpy.libs"
+for path in sorted(glob.glob(str(libs / "*openblas*"))):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            counts.append(fn())
+            break
+print(json.dumps(counts))
+"""
 
 
 @pytest.fixture()
@@ -317,6 +340,18 @@ class TestExitCodes:
         assert main(["dim", "3.5", "2"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--threads", "0", "dim", "3", "2"], "--threads"),
+        (["--threads", "-3", "dim", "3", "2"], "--threads"),
+        (["sample", "--ell", "4", "--seed", "-1"], "--seed"),
+        (["experiment", "run", "exp.ini", "--seed", "-1"], "--seed"),
+    ], ids=["threads-0", "threads-negative", "sample-seed", "experiment-seed"])
+    def test_out_of_range_flag_exits_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be >= " in captured.err
+
     def test_domain_errors_exit_2(self, capsys):
         assert main(["dim", "100", "200"]) == 2  # exceeds exact int range
         assert main(["dim", "-1", "2"]) == 2
@@ -394,6 +429,21 @@ class TestEnvironment:
             assert os.environ[var] == "2"
         capsys.readouterr()
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="OpenBLAS runs one thread on one CPU")
+    def test_threads_flag_reaches_openblas(self):
+        env = {k: v for k, v in _child_env().items() if k not in _THREAD_ENV_VARS}
+        counts = {}
+        for n in (1, 2):
+            child = subprocess.run(
+                [sys.executable, "-c", _OPENBLAS_PROBE, "--threads", str(n),
+                 "dim", "3", "2"], capture_output=True, text=True, env=env)
+            assert child.returncode == 0, child.stderr
+            counts[n] = json.loads(child.stdout.splitlines()[-1])
+        if not counts[1]:
+            pytest.skip("numpy loads no bundled OpenBLAS")
+        assert counts == {n: [n] * len(counts[1]) for n in (1, 2)}
+
     def test_imports_leave_numpy_unloaded(self):
         # --threads sets the BLAS variables in main(), which works only if
         # numpy is not loaded yet when the package and the CLI are imported
@@ -431,8 +481,6 @@ class TestEnvironment:
         assert (out_dir / "variance_scaling.csv").exists()
 
     def test_experiment_seed_override(self, tmp_path, capsys):
-        import json
-
         ini = tmp_path / "exp.ini"
         ini.write_text(
             "[variance_scaling]\n"
@@ -504,6 +552,28 @@ class TestEnvironment:
         assert captured.err == (
             f"error: {kind} needs dim = 2: it uses the explicit basis on S^2\n"
         )
+        assert not out_dir.exists()
+
+
+    @pytest.mark.parametrize("section, key", [
+        ("[variance_scaling]\nell_list = 2, 3, 4\nseed = -1\n", "seed"),
+        ("[kol_decay]\nell_list = 0, 2, 4\nseed = 3\n", "ell_list"),
+        ("[epc]\nell_list = 0, 2, 4\nseed = 3\n", "ell_list"),
+        ("[critical_density]\nell_list = 0, 2, 4\nseed = 3\n", "ell_list"),
+        ("[kol_decay]\nell_list = 1, 2, 3\nseed = 3\ndim = 3\ngrid_density = 1\n",
+         "grid_density"),
+    ], ids=["seed", "kol_decay-ell-0", "epc-ell-0", "critical_density-ell-0",
+            "kol_decay-d3-one-point"])
+    def test_experiment_config_that_fails_in_a_cell_exits_2(self, section, key,
+                                                              tmp_path, capsys):
+        # refused while parsing, before the output directory is made
+        ini = tmp_path / "exp.ini"
+        ini.write_text(section + "replicates = 30\n")
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "run", str(ini), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and key in captured.err
         assert not out_dir.exists()
 
 

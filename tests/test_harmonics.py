@@ -10,6 +10,7 @@ times the field).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from sphex.harmonics import (
 )
 from sphex.harmonics import _frame_jet2, _legendre_rows, _longitude_waves
 from sphex.specfun import HarmonicLevel, gegenbauer
-from sphex.sphere_geom import SpherePoint, iso_latitude_grid, quasi_uniform_grid
+from sphex.sphere_geom import iso_latitude_grid, quasi_uniform_grid
 
 
 def gl_product(n_theta: int, n_phi: int):
@@ -51,6 +52,12 @@ def gl_product(n_theta: int, n_phi: int):
     pts[:, 2] = np.repeat(x, n_phi)
     weights = np.repeat(w / 2.0, n_phi) / n_phi
     return pts, weights
+
+
+def at(theta: float, phi: float) -> np.ndarray:
+    """The point of S^2 at colatitude theta and longitude phi, as (1, 3)."""
+    st = math.sin(theta)
+    return np.array([[st * math.cos(phi), st * math.sin(phi), math.cos(theta)]])
 
 
 def unit_coeffs(level: HarmonicLevel, slot: int) -> CoefficientVector:
@@ -114,7 +121,7 @@ class TestYlm:
     def test_constant_level(self):
         lv = HarmonicLevel(0, 2)
         for theta, phi in ((0.3, 1.0), (2.0, -2.5)):
-            got = evaluate(unit_coeffs(lv, 1), SpherePoint.from_angles(theta, phi))
+            got = evaluate(unit_coeffs(lv, 1), at(theta, phi))[0]
             assert got == pytest.approx(1.0, abs=1e-14)
 
     def test_addition_theorem(self):
@@ -158,7 +165,7 @@ class TestEvaluate:
                 lv = HarmonicLevel(ell, 2)
                 cv = CoefficientVector(
                     lv, np.eye(lv.n)[0], radius=radius)
-                got = evaluate(cv, SpherePoint.from_angles(0.0, 0.0))
+                got = evaluate(cv, at(0.0, 0.0))[0]
                 assert got == pytest.approx(
                     radius * math.sqrt(2 * ell + 1), rel=1e-12)
 
@@ -166,7 +173,7 @@ class TestEvaluate:
         lv = HarmonicLevel(0, 2)
         cv = CoefficientVector(lv, np.array([1.0]), radius=1.7)
         for theta in (0.1, 1.2, 3.0):
-            assert evaluate(cv, SpherePoint.from_angles(theta, 0.5)) == (
+            assert evaluate(cv, at(theta, 0.5))[0] == (
                 pytest.approx(1.7, rel=1e-14))
 
     def test_parseval(self):
@@ -178,6 +185,12 @@ class TestEvaluate:
             vals = np.asarray(evaluate(cv, pts))
             norm = math.sqrt(float((vals * vals) @ w))
             assert norm == pytest.approx(cv.radius, abs=1e-6 * cv.radius)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 4)])
+    def test_refuses_points_not_n_by_3(self, shape):
+        cv = unit_coeffs(HarmonicLevel(2, 2), 1)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            evaluate(cv, np.ones(shape))
 
     def test_grid_ring_path_matches_pointwise(self):
         rng = stream(4, 0, "ringpath")
@@ -263,9 +276,9 @@ class TestSamplers:
     def test_field_value_unit_variance(self):
         lv = HarmonicLevel(4, 2)
         rng = stream(15, 0, "gauss.value")
-        p = SpherePoint.from_angles(1.1, 0.4)
+        p = at(1.1, 0.4)
         vals = np.array([
-            evaluate(sample_gaussian(lv, rng), p) for _ in range(10_000)
+            evaluate(sample_gaussian(lv, rng), p)[0] for _ in range(10_000)
         ])
         se = math.sqrt(2.0 / len(vals))
         assert abs(float(vals.var()) - 1.0) < 4 * se
@@ -274,9 +287,8 @@ class TestSamplers:
         # mean and variance of the field value do not depend on the point
         lv = HarmonicLevel(3, 2)
         rng = stream(16, 0, "rotinv")
-        pts = np.array([SpherePoint.from_angles(t, p).coords
-                        for t, p in ((0.2, 0.0), (0.9, 2.0), (1.5, -1.0),
-                                     (2.4, 0.7), (3.0, 1.9))])
+        pts = np.vstack([at(t, p) for t, p in ((0.2, 0.0), (0.9, 2.0), (1.5, -1.0),
+                                                (2.4, 0.7), (3.0, 1.9))])
         draws = np.array([
             np.asarray(evaluate(sample_gaussian(lv, rng), pts))
             for _ in range(10_000)
@@ -420,7 +432,7 @@ class TestJets:
         tol = 1e-6 * lv.ell * cv.radius
 
         def f(t, p):
-            return evaluate(cv, SpherePoint.from_angles(t, p))
+            return evaluate(cv, at(t, p))[0]
 
         _, g_t, g_p, *_ = _frame_jet2(cv, theta, phi)
         for i, (t, p) in enumerate(zip(theta, phi)):
@@ -439,7 +451,7 @@ class TestJets:
         h = 1e-3
 
         def f(t, p):
-            return evaluate(cv, SpherePoint.from_angles(t, p))
+            return evaluate(cv, at(t, p))[0]
 
         for t0, p0 in ((0.8, 0.3), (1.4, -2.0), (2.2, 1.1)):
             _, hess = jet_at(cv, t0, p0)
@@ -467,7 +479,7 @@ class TestJets:
             lam = ell * (ell + 1)
             for t0, p0 in ((0.7, 0.0), (1.3, 2.2), (2.5, -0.8)):
                 _, hess = jet_at(cv, t0, p0)
-                val = evaluate(cv, SpherePoint.from_angles(t0, p0))
+                val = evaluate(cv, at(t0, p0))[0]
                 assert float(np.trace(hess)) == pytest.approx(
                     -lam * val, abs=1e-3 * lam * cv.radius)
 
@@ -499,7 +511,7 @@ class TestJets:
                     np.testing.assert_allclose(
                         hess, fd_hessian(cv, t0, p0), rtol=0, atol=1e-5 * scale)
                     assert float(np.trace(hess)) == pytest.approx(
-                        -lam * evaluate(cv, SpherePoint.from_angles(t0, p0)),
+                        -lam * evaluate(cv, at(t0, p0))[0],
                         abs=1e-7 * scale)
 
     def test_constant_field_jets(self):
@@ -526,15 +538,15 @@ class TestCovariance:
     # the covariance function of the ensemble is gegenbauer(ell, d, <x, y>)
     def test_diagonal_is_one(self):
         lv = HarmonicLevel(7, 2)
-        p = SpherePoint.from_angles(0.8, 0.1).coords
+        p = at(0.8, 0.1)[0]
         assert gegenbauer(lv.ell, lv.dim, p @ p) == pytest.approx(1.0, abs=1e-12)
         assert basis_covariance(lv, p, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_legendre_d2(self):
         lv = HarmonicLevel(5, 2)
-        x = SpherePoint.from_angles(0.0, 0.0).coords
+        x = at(0.0, 0.0)[0]
         for theta in (0.2, 1.0, 2.8):
-            y = SpherePoint.from_angles(theta, 0.0).coords
+            y = at(theta, 0.0)[0]
             coef = np.zeros(6)
             coef[5] = 1.0
             expected = np.polynomial.legendre.legval(math.cos(theta), coef)
@@ -553,8 +565,8 @@ class TestCovariance:
 
     def test_monte_carlo_two_points(self):
         lv = HarmonicLevel(4, 2)
-        x = SpherePoint.from_angles(0.9, 0.0).coords
-        y = SpherePoint.from_angles(1.7, 1.2).coords
+        x = at(0.9, 0.0)[0]
+        y = at(1.7, 1.2)[0]
         sim = GramSimulator(lv, np.vstack([x, y]))
         normals = stream(30, 0, "cov.mc").standard_normal((10_000, 2))
         draws = np.array([s.values for s in sim.sample(normals)])
@@ -574,9 +586,14 @@ class TestSimulateField:
         ks = stats.kstest(vals, stats.norm.cdf)
         assert ks.statistic < 0.02
 
+    def test_refuses_a_single_vector(self):
+        # one point is a (1, d+1) array; a bare vector is not read as one
+        with pytest.raises(ValueError, match=re.escape("got shape (4,)")):
+            GramSimulator(HarmonicLevel(5, 3), np.eye(4)[0])
+
     def test_antipodal_odd_ell_anticorrelated(self):
         lv = HarmonicLevel(7, 2)
-        x = SpherePoint.from_angles(1.0, 0.5).coords
+        x = at(1.0, 0.5)[0]
         sim = GramSimulator(lv, np.vstack([x, -x]))
         [s] = sim.sample(stream(32, 0, "anti").standard_normal((1, 2)))
         assert s.values[1] == pytest.approx(-s.values[0], abs=1e-5)

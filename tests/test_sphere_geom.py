@@ -11,30 +11,7 @@ import pytest
 
 from sphex.harmonics import CoefficientVector, evaluate
 from sphex.specfun import HarmonicLevel, gegenbauer
-from sphex.sphere_geom import (
-    SpherePoint,
-    icosphere,
-    iso_latitude_grid,
-    quasi_uniform_grid,
-)
-
-
-class TestSpherePoint:
-    def test_angle_round_trip(self):
-        p = SpherePoint.from_angles(0.7, 2.1)
-        assert p.theta == pytest.approx(0.7, abs=1e-12)
-        assert p.phi == pytest.approx(2.1, abs=1e-12)
-        assert np.linalg.norm(p.coords) == pytest.approx(1.0, abs=1e-15)
-
-    def test_norm_validation(self):
-        with pytest.raises(ValueError):
-            SpherePoint(np.array([1.0, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            SpherePoint(np.array([1.0, 0.0]))
-
-    def test_array_protocol(self):
-        p = SpherePoint.from_angles(1.0, 0.0)
-        assert np.asarray(p).shape == (3,)
+from sphex.sphere_geom import icosphere, iso_latitude_grid, quasi_uniform_grid
 
 
 class TestQuasiUniformGrid:

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .specfun import HarmonicLevel, gegenbauer
 from .sphere_geom import SphereGrid
@@ -55,14 +54,14 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _JET_BLOCK = 2048  # points per block of _frame_jet2
-_GRAM_BLOCK = 256  # rows per block of GramSimulator's kernel
+_RANK_TOL = 1e-12  # remaining variance at which GramSimulator stops adding columns
 
 
 class GeometryError(RuntimeError):
     """Raised on degenerate geometry.
 
-    A covariance Gram matrix that cannot be factorized, or a critical point
-    set flagged degenerate, whose Morse count
+    A simulator's point set with a repeated point, or a critical point set
+    flagged degenerate, whose Morse count
     ``excursion.euler_characteristic_morse`` refuses.
     """
 
@@ -537,28 +536,24 @@ class FieldSample(NamedTuple):
 
 
 class GramSimulator:
-    """Cholesky-based simulator of the Gaussian field at a fixed point set.
+    """Exact simulator of degree-ell fields at a fixed point set on S^d.
 
-    The Gram matrix G(<x_i, x_j>) is built in one N x N array, by blocks of
-    ``_GRAM_BLOCK`` rows and on the lower triangle only, and LAPACK's
-    Cholesky (``scipy.linalg.cholesky``) overwrites it with the lower
-    factor ``L`` (G = L L^T); no other N x N array is made.  The Gram has
-    rank at most the eigenspace dimension, so for point counts beyond that
-    a diagonal jitter is unavoidable.  The factorization is tried with no
-    jitter while the point count does not exceed the eigenspace dimension,
-    then with 1e-12 escalated by factors of 10 up to 1e-8 (``_LADDER``);
-    a failed attempt has overwritten part of the array, so each attempt
-    builds the Gram afresh.  The jitter used is kept in ``jitter``.
-    Repeated points, and a Gram not positive definite even with jitter
-    1e-8, raise ``GeometryError``.
+    The fields' covariance at the points, the Gram matrix G(<x_i, x_j>) of
+    rank at most the eigenspace dimension n, is factored as G = L L^T into
+    an N x n ``factor`` L by a greedy pivoted Cholesky (Harbrecht, Peters &
+    Schneider 2012): step k adds the kernel column at the point i of largest
+    remaining variance d_i, (G(<x, x_i>) - L[:, :k] L[i, :k]) / sqrt(d_i).
+    It stops after min(N, n) steps, or once every d_i is at rounding level
+    (``_RANK_TOL``); unfilled columns stay zero.  ``rank`` counts the filled
+    columns and ``residual`` sums the d_i, the trace of G - L L^T: together
+    they certify the factor.  No N x N array is made.
 
     ``points`` is a ``SphereGrid``, whose weights the samples carry, or an
-    (N, d+1) array of unit vectors, whose samples carry uniform weights.
-    ``sample`` turns an (R, N) array of standard normals into R fields by
-    one matrix product, field r being ``L @ normals[r]``.
+    (N, d+1) array of unit vectors, whose samples carry uniform weights;
+    norms off 1 by more than 1e-6 raise ``ValueError`` and repeated points
+    ``GeometryError``.  L is the orthonormal basis at the points, rotated
+    and divided by sqrt(n), so ``sample`` evaluates coefficients through it.
     """
-
-    _LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 
     def __init__(self, level: HarmonicLevel,
                  points: Union[SphereGrid, np.ndarray]) -> None:
@@ -576,52 +571,40 @@ class GramSimulator:
                 f"points have ambient dimension {pts.shape[1]}, "
                 f"expected {level.dim + 1}"
             )
+        norms = np.linalg.norm(pts, axis=1)
+        off = np.abs(norms - 1.0)
+        if not np.all(off <= 1e-6):
+            raise ValueError("points must be unit vectors within 1e-6, got a "
+                             f"point of norm {float(norms[np.argmax(off)])!r}")
         n_pts = pts.shape[0]
         if len(np.unique(pts, axis=0)) < n_pts:
             raise GeometryError("points repeat: the point set is degenerate")
         self.level = level
         self.points = pts
         self.weights = weights
-        gram = np.empty((n_pts, n_pts))
-        self.jitter = 0.0
-        self._chol = None
-        # past n points the Gram is singular: a factor without jitter then
-        # exists only by rounding, so that attempt is skipped
-        ladder = self._LADDER[1:] if n_pts > level.n else self._LADDER
-        for jit in ladder:
-            for i0 in range(0, n_pts, _GRAM_BLOCK):
-                i1 = min(i0 + _GRAM_BLOCK, n_pts)
-                cosines = pts[i0:i1] @ pts[:i1].T
-                np.clip(cosines, -1.0, 1.0, out=cosines)
-                gram[i0:i1, :i1] = gegenbauer(level.ell, level.dim, cosines)
-            # the exact diagonal is G(1) = 1
-            np.fill_diagonal(gram, 1.0 + jit)
-            try:
-                # LAPACK reads the upper triangle of the Fortran-ordered
-                # transpose, which is the lower triangle built above, and
-                # overwrites it in place; ``clean`` zeroes the other half
-                self._chol = cholesky(gram.T, lower=False, overwrite_a=True,
-                                      check_finite=False).T
-                self.jitter = jit
+        self.factor = np.zeros((n_pts, level.n), order="F")
+        diag = np.ones(n_pts)  # G(1) = 1 less the squared rows of the factor
+        self.rank = 0
+        for k in range(min(n_pts, level.n)):
+            i = int(np.argmax(diag))
+            if diag[i] <= _RANK_TOL:
                 break
-            except np.linalg.LinAlgError:
-                continue
-        if self._chol is None:
-            raise GeometryError(
-                "covariance Gram matrix is not positive definite even with "
-                "jitter 1e-8; the point set is likely degenerate"
-            )
+            cosines = np.clip(pts @ pts[i], -1.0, 1.0)
+            col = gegenbauer(level.ell, level.dim, cosines)
+            col -= self.factor[:, :k] @ self.factor[i, :k]
+            col /= math.sqrt(diag[i])
+            self.factor[:, k] = col
+            diag -= col * col
+            self.rank = k + 1
+        self.residual = float(np.abs(diag).sum())
 
-    def sample(self, normals: np.ndarray) -> list[FieldSample]:
-        """The fields ``L @ z`` for the rows ``z`` of ``normals``, an (R, N)
-        array of standard normals, by one matrix product."""
-        normals = np.asarray(normals, dtype=float)
-        if normals.ndim != 2 or normals.shape[1] != self.points.shape[0]:
-            raise ValueError(
-                f"normals must be an (R, {self.points.shape[0]}) array, "
-                f"got shape {normals.shape}"
-            )
-        return [FieldSample(values, self.weights) for values in normals @ self._chol.T]
+    def sample(self, coeffs: CoefficientVector) -> FieldSample:
+        """The field ``sqrt(n) * radius * (L @ alpha)`` of ``coeffs`` at the points."""
+        if coeffs.level != self.level:
+            raise ValueError(f"coefficients of {coeffs.level} for a simulator "
+                             f"of {self.level}")
+        values = math.sqrt(self.level.n) * coeffs.radius * (self.factor @ coeffs.alpha)
+        return FieldSample(values, self.weights)
 
 
 # ---------------------------------------------------------------------------

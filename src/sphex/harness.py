@@ -101,8 +101,8 @@ class ExperimentConfig:
     no sphere in it; its rows store n in the ell column.  Only kol_decay
     runs on S^d for d >= 3; the other sphere kinds use the explicit S^2
     basis.  ``grid_cap`` (at least 2) bounds the point count N of d >= 3
-    simulations, whose simulator holds one N x N array (8 N^2 bytes) and
-    whose Cholesky factorization is the limiting cost; N is
+    simulations, whose simulator holds an N x n factor (8 N n bytes at
+    eigenspace dimension n) built in O(N n^2) time; N is
     ``grid_density * ell**dim`` below the cap, and must be at least 2.
     """
 
@@ -347,16 +347,18 @@ class _Cell:
         config = self.config
         return np.array(_replicates(config.seed, config.replicates, purpose, measure))
 
-    def on_grid(self, purpose: str, grid: SphereGrid,
+    def on_grid(self, purpose: str, grid: Union[SphereGrid, GramSimulator],
                 draw: Callable[[HarmonicLevel, np.random.Generator], CoefficientVector],
                 functional: Callable[[CoefficientVector, FieldSample], object]
                 ) -> np.ndarray:
-        """Replicates that draw a field, sample it on ``grid`` and pass the
-        coefficients and the sample to ``functional``."""
+        """Replicates that draw a field, sample it on ``grid`` (S^2) or the
+        simulator's points (S^d) and pass coefficients and sample to ``functional``."""
 
         def measure(rng: np.random.Generator) -> object:
             coeffs = draw(self.level, rng)
-            return functional(coeffs, FieldSample.explicit(coeffs, grid))
+            sample = (grid.sample(coeffs) if isinstance(grid, GramSimulator)
+                      else FieldSample.explicit(coeffs, grid))
+            return functional(coeffs, sample)
 
         return self.replicates(purpose, measure)
 
@@ -518,6 +520,19 @@ def _variance_interpolant(u_list: Sequence[float],
     return sigma_sq_at
 
 
+def _kol_points(config: ExperimentConfig, level: HarmonicLevel,
+                entry: dict) -> Union[SphereGrid, GramSimulator]:
+    """Where a kol_decay cell samples its fields: the iso-latitude grid on
+    S^2; on S^d the factor on a banded set of at most ``grid_cap`` points,
+    whose rank and residual go in the cell's sidecar ``entry``."""
+    if level.dim == 2:
+        return _sphere_grid(config, level.ell)
+    n_pts = min(config.grid_density * level.ell**level.dim, config.grid_cap)
+    sim = GramSimulator(level, quasi_uniform_grid(level.dim, n_pts))
+    entry.update(rank=sim.rank, residual=sim.residual)
+    return sim
+
+
 def _run_kol_decay(record: ExperimentRecord) -> None:
     config = record.config
     per_ell = record.constants["per_ell"] = {}
@@ -525,21 +540,10 @@ def _run_kol_decay(record: ExperimentRecord) -> None:
     for ell in config.ell_list:
         cell = _Cell(record, ell)
         entry = per_ell[str(ell)] = {}
-        purpose = f"kol_decay:ell={ell}"
-        if config.dim == 2:
-            dists = cell.on_grid(
-                purpose, _sphere_grid(config, ell), sample_gaussian,
-                lambda coeffs, sample: kolmogorov_distance(sample),
-            )
-        else:
-            n_pts = min(config.grid_density * ell**config.dim, config.grid_cap)
-            sim = GramSimulator(cell.level, quasi_uniform_grid(config.dim, n_pts))
-            normals = cell.replicates(
-                purpose, lambda rng: rng.standard_normal(len(sim.points))
-            )
-            dists = np.array([kolmogorov_distance(s) for s in sim.sample(normals)])
-            entry["jitter"] = sim.jitter
-            del sim  # free its N x N factor before the next cell's Gram is built
+        dists = cell.on_grid(
+            f"kol_decay:ell={ell}", _kol_points(config, cell.level, entry),
+            sample_gaussian, lambda coeffs, sample: kolmogorov_distance(sample),
+        )
         mean, se = _mean_se(dists)
         cell.row("kol_decay", None, None, mean, se, float(ell) ** (-rate_ell))
         n = cell.level.n

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "SphereGrid",
@@ -72,31 +73,43 @@ def _fibonacci_points(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def quasi_uniform_grid(dim: int, count: int) -> SphereGrid:
-    """Deterministic quasi-uniform point set with equal weights.
+def _banded_points(dim: int, count: int) -> np.ndarray:
+    """``count`` points on S^dim, each of measure 1/count (Leopardi 2006).
 
-    On S^2 this is the Fibonacci spiral.  In higher dimensions there is no
-    comparably cheap low-discrepancy construction, so points are drawn iid
-    uniform from a generator seeded by (dim, count); the output depends
-    only on the inputs.
+    round(pi/h) bands in the polar angle psi, h = (|S^dim| / count)^(1/dim),
+    take largest-remainder shares of ``count``; the band edges then move so
+    each band's measure (I_u(dim/2, dim/2) at u = (1 - cos psi)/2) is its
+    share, and each band holds a banded S^(dim-1) set scaled by sin psi at
+    its measure-median.  The recursion ends at the Fibonacci spiral on S^2.
     """
+    if dim == 2:
+        return _fibonacci_points(count)
+    half = dim / 2.0
+    area = 2.0 * math.pi ** (half + 0.5) / math.gamma(half + 0.5)
+    bands = max(1, round(math.pi / (area / count) ** (1.0 / dim)))
+    edges = np.cos(np.arange(bands + 1) * (math.pi / bands))
+    share = count * np.diff(special.betainc(half, half, (1.0 - edges) / 2.0))
+    counts = np.floor(share).astype(int)
+    largest = np.argsort(counts - share, kind="stable")
+    counts[largest[:count - counts.sum()]] += 1
+    u = special.betaincinv(half, half, (np.cumsum(counts) - counts / 2.0) / count)
+    rows = [
+        np.column_stack([2.0 * math.sqrt(ui * (1.0 - ui)) * _banded_points(dim - 1, c),
+                         np.full(c, 1.0 - 2.0 * ui)])
+        for c, ui in zip(counts, u) if c
+    ]
+    return np.vstack(rows)
+
+
+def quasi_uniform_grid(dim: int, count: int) -> SphereGrid:
+    """Exactly ``count`` points of weight 1/count, a function of the inputs:
+    the Fibonacci spiral on S^2, the banded equal-area set on S^d."""
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    if dim == 2:
-        pts = _fibonacci_points(count)
-    else:
-        seed = np.random.SeedSequence(entropy=0x5F3A9C11, spawn_key=(dim, count))
-        rng = np.random.Generator(np.random.Philox(seed))
-        g = rng.standard_normal((count, dim + 1))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        while np.any(norms == 0.0):  # pragma: no cover - probability zero
-            g = rng.standard_normal((count, dim + 1))
-            norms = np.linalg.norm(g, axis=1, keepdims=True)
-        pts = g / norms
     w = np.full(count, 1.0 / count)
-    return SphereGrid(dim, pts, w)
+    return SphereGrid(dim, _banded_points(dim, count), w)
 
 
 def iso_latitude_grid(count: int) -> SphereGrid:

@@ -33,7 +33,7 @@ from sphex.harmonics import (
 )
 from sphex.harmonics import _frame_jet2, _legendre_rows, _longitude_waves
 from sphex.specfun import HarmonicLevel, gegenbauer
-from sphex.sphere_geom import iso_latitude_grid, quasi_uniform_grid
+from sphex.sphere_geom import iso_latitude_grid
 
 
 def gl_product(n_theta: int, n_phi: int):
@@ -568,8 +568,9 @@ class TestCovariance:
         x = at(0.9, 0.0)[0]
         y = at(1.7, 1.2)[0]
         sim = GramSimulator(lv, np.vstack([x, y]))
-        normals = stream(30, 0, "cov.mc").standard_normal((10_000, 2))
-        draws = np.array([s.values for s in sim.sample(normals)])
+        rng = stream(30, 0, "cov.mc")
+        draws = np.array([sim.sample(sample_gaussian(lv, rng)).values
+                          for _ in range(10_000)])
         target = gegenbauer(lv.ell, lv.dim, x @ y)
         est = float(np.mean(draws[:, 0] * draws[:, 1]))
         se = math.sqrt((1.0 + target**2) / draws.shape[0])
@@ -581,8 +582,9 @@ class TestSimulateField:
         lv = HarmonicLevel(5, 3)
         pt = np.eye(4)[0]
         sim = GramSimulator(lv, pt[None, :])
-        normals = stream(31, 0, "marginal").standard_normal((10_000, 1))
-        vals = np.array([s.values[0] for s in sim.sample(normals)])
+        rng = stream(31, 0, "marginal")
+        vals = np.array([sim.sample(sample_gaussian(lv, rng)).values[0]
+                         for _ in range(10_000)])
         ks = stats.kstest(vals, stats.norm.cdf)
         assert ks.statistic < 0.02
 
@@ -591,45 +593,40 @@ class TestSimulateField:
         with pytest.raises(ValueError, match=re.escape("got shape (4,)")):
             GramSimulator(HarmonicLevel(5, 3), np.eye(4)[0])
 
+    def test_refuses_points_off_the_sphere(self):
+        pts = np.vstack([np.eye(4)[:2], np.ones(4), np.eye(4)[2:]])
+        with pytest.raises(ValueError, match=re.escape("point of norm 2.0")):
+            GramSimulator(HarmonicLevel(5, 3), pts)
+        # rounding-level drift is accepted
+        GramSimulator(HarmonicLevel(5, 3), np.eye(4) * (1.0 + 1e-9))
+
+    def test_refuses_coefficients_of_another_level(self):
+        sim = GramSimulator(HarmonicLevel(2, 3), np.eye(4))
+        with pytest.raises(ValueError, match="for a simulator of"):
+            sim.sample(sample_gaussian(HarmonicLevel(4, 2), stream(34, 0, "lv")))
+
     def test_antipodal_odd_ell_anticorrelated(self):
         lv = HarmonicLevel(7, 2)
         x = at(1.0, 0.5)[0]
         sim = GramSimulator(lv, np.vstack([x, -x]))
-        [s] = sim.sample(stream(32, 0, "anti").standard_normal((1, 2)))
+        s = sim.sample(sample_gaussian(lv, stream(32, 0, "anti")))
         assert s.values[1] == pytest.approx(-s.values[0], abs=1e-5)
 
     def test_reproducible(self):
         lv = HarmonicLevel(3, 2)
         pts = iso_latitude_grid(30).points
-        normals = stream(33, 5, "repro").standard_normal((3, len(pts)))
-        a = GramSimulator(lv, pts).sample(normals)
-        b = GramSimulator(lv, pts).sample(normals)
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
-
-    def test_jitter_reported_for_oversampled_grid(self):
-        # more points than the eigenspace dimension forces rank deficiency
-        lv = HarmonicLevel(2, 2)  # n = 5
-        pts = iso_latitude_grid(60).points
-        sim = GramSimulator(lv, pts)
-        assert sim.jitter in GramSimulator._LADDER
-
-    def test_no_unjittered_factor_past_n_points(self):
-        # six points for n = 5: the Gram is singular, but rounding lets a
-        # factor without jitter through; the ladder starts at 1e-12 instead
-        sim = GramSimulator(HarmonicLevel(2, 2), quasi_uniform_grid(2, 6))
-        assert sim.jitter == GramSimulator._LADDER[1]
-        # at n points or fewer the exact Gram is tried first
-        sim = GramSimulator(HarmonicLevel(2, 2), quasi_uniform_grid(2, 5))
-        assert sim.jitter == 0.0
+        cv = sample_gaussian(lv, stream(33, 5, "repro"))
+        a = GramSimulator(lv, pts).sample(cv)
+        b = GramSimulator(lv, pts).sample(cv)
+        assert np.array_equal(a.values, b.values)
 
     def test_sample_weights_come_from_the_grid_or_are_uniform(self):
         lv = HarmonicLevel(2, 2)
         grid = iso_latitude_grid(30)
-        normals = stream(36, 0, "w").standard_normal((2, len(grid)))
-        for s in GramSimulator(lv, grid).sample(normals):
-            assert s.weights is grid.weights
-        for s in GramSimulator(lv, grid.points).sample(normals):
-            assert np.array_equal(s.weights, np.full(len(grid), 1 / len(grid)))
+        cv = sample_gaussian(lv, stream(36, 0, "w"))
+        assert GramSimulator(lv, grid).sample(cv).weights is grid.weights
+        s = GramSimulator(lv, grid.points).sample(cv)
+        assert np.array_equal(s.weights, np.full(len(grid), 1 / len(grid)))
 
     def test_explicit_sample_kind(self):
         cv = sample_gaussian(HarmonicLevel(3, 2), stream(35, 0, "exp"))

@@ -20,7 +20,7 @@ from scipy.stats import binomtest
 
 from sphex import harness, theory
 from sphex.excursion import kolmogorov_distance
-from sphex.harmonics import stream
+from sphex.harmonics import sample_gaussian, stream
 from sphex.harness import (
     CSV_HEADER,
     KINDS,
@@ -368,7 +368,7 @@ class TestKolDecay:
         assert all(r.estimate == 0.0 for r in vacuous_rows)
 
     def test_d3_cell_frees_its_simulator_before_the_next(self, monkeypatch):
-        # each simulator holds an N x N factor, so two alive at once double
+        # each simulator holds an N x n factor, so two alive at once double
         # the peak memory of a d >= 3 sweep
         built, alive_at_build = [], []
 
@@ -384,8 +384,8 @@ class TestKolDecay:
         assert alive_at_build == [0, 0, 0]
 
     def test_d3_fields_are_the_factor_times_each_replicates_normals(self, monkeypatch):
-        # a cell draws all its fields by one matrix product, yet field r is
-        # still the factor times the normals of replicate r's own stream
+        # field r is sqrt(n) radius L @ alpha of the Gaussian coefficients
+        # drawn from replicate r's own stream
         sims, fields = [], []
 
         class TrackedSimulator(harness.GramSimulator):
@@ -405,8 +405,16 @@ class TestKolDecay:
         for ell, sim, cell_fields in zip(config.ell_list, sims, (fields[:30], fields[30:])):
             for rep, values in enumerate(cell_fields):
                 rng = stream(config.seed, rep, f"kol_decay:ell={ell}")
-                expected = sim._chol @ rng.standard_normal(len(sim.points))
+                cv = sample_gaussian(sim.level, rng)
+                expected = math.sqrt(sim.level.n) * cv.radius * (sim.factor @ cv.alpha)
                 np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+
+    def test_d3_sidecar_certifies_each_factor(self):
+        record = run_experiment(small_config(kind="kol_decay", ell_list=[2, 3, 4],
+                                             dim=3, replicates=30))
+        for ell, entry in record.constants["per_ell"].items():
+            assert entry["rank"] == eigenspace_dim(int(ell), 3)
+            assert 0.0 <= entry["residual"] <= 1e-9
 
 
 class TestSupnorm:
@@ -818,6 +826,45 @@ class TestGridGolden:
                 for kind, extra in sections.items()
             )
         )
+        out = tmp_path / "out"
+        written = run_config_file(str(path), str(out))
+        assert sorted(p.rsplit("/", 1)[1] for p in written) == sorted(self.GOLDEN)
+        digests = {}
+        for name in self.GOLDEN:
+            if name.endswith("_rates.csv") or name.endswith(".json"):
+                blob = (out / name).read_bytes()
+            else:
+                blob = "\n".join(csv_lines_without_seconds(out / name)).encode()
+            digests[name] = hashlib.sha256(blob).hexdigest()
+        assert digests == self.GOLDEN
+
+
+class TestSolidGolden:
+    """Byte contract of a d=3 kol_decay campaign at a fixed seed.
+
+    The record CSV (minus the ``seconds`` column), the JSON sidecar and the
+    rate CSV of a 400-point S^3 campaign are pinned by SHA-256, so a change
+    to the banded point set, the pivoted factor or how a replicate draws
+    its coefficients shows here.  The digests are the same with 1 or 2
+    BLAS threads.
+    """
+
+    GOLDEN = {
+        "kol_decay.csv": (
+            "a80258e986044f23e6fd8868b802073b0734dafca59e32fc50235d13dea06f2a"
+        ),
+        "kol_decay.json": (
+            "8087bc037be0584560f3e9ff5ca2a77565bfa9123e60e641c72131456a7e0f82"
+        ),
+        "kol_decay_rates.csv": (
+            "8dd988fcecd544d26b5b580ff4342848e34915aeecf25d047da662722dd261ac"
+        ),
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        path = tmp_path / "golden.ini"
+        path.write_text("[kol_decay]\nell_list = 4, 6, 8\ndim = 3\ngrid_cap = 400\n"
+                        "seed = 2015\nreplicates = 30\n")
         out = tmp_path / "out"
         written = run_config_file(str(path), str(out))
         assert sorted(p.rsplit("/", 1)[1] for p in written) == sorted(self.GOLDEN)

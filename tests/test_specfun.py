@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy import special as sps
 
 from sphex.harmonics import GeometryError, GramSimulator
@@ -270,12 +269,15 @@ class TestGegenbauerKernel:
         assert peak <= out.nbytes + 2 * 2**20
 
     def test_gram_simulator_factor(self):
-        # d=3, l=4: n=25 << 600 points, so the factor needs the jitter ladder
+        # d=3, l=4: n=25 << 600 points, so the factor stops at rank n, and
+        # L L^T is the whole-array Gram
         level = HarmonicLevel(4, 3)
         pts = _unit_rows(6, 600)
         sim = GramSimulator(level, pts)
-        assert sim.jitter == 1e-12
-        assert np.array_equal(sim._chol, _factor_oracle(level, pts, sim.jitter))
+        assert sim.rank == level.n and sim.factor.shape == (600, level.n)
+        assert sim.residual <= 1e-9
+        np.testing.assert_allclose(sim.factor @ sim.factor.T, _gram_oracle(level, pts),
+                                   rtol=0, atol=1e-12)
 
 
 def _unit_rows(seed: int, count: int, dim: int = 3) -> np.ndarray:
@@ -283,19 +285,15 @@ def _unit_rows(seed: int, count: int, dim: int = 3) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
-def _factor_oracle(level: HarmonicLevel, pts: np.ndarray, jitter: float) -> np.ndarray:
-    """The lower Cholesky factor of the whole-array Gram plus ``jitter`` I,
-    by the LAPACK routine ``GramSimulator`` calls (scipy's potrf)."""
-    gram = gegenbauer_unblocked(level.ell, level.dim, np.clip(pts @ pts.T, -1.0, 1.0))
-    np.fill_diagonal(gram, 1.0 + jitter)
-    return scipy.linalg.cholesky(gram, lower=False).T
+def _gram_oracle(level: HarmonicLevel, pts: np.ndarray) -> np.ndarray:
+    """The whole-array Gram G(<x_i, x_j>) by the unblocked kernel."""
+    return gegenbauer_unblocked(level.ell, level.dim, np.clip(pts @ pts.T, -1.0, 1.0))
 
 
 class TestGramSimulatorFactor:
-    def test_peak_memory_is_one_gram(self):
-        # the kernel is built by row blocks into the array LAPACK factors in
-        # place: no N x N cosine matrix and no second N x N factor, only a
-        # block of cosines and one of kernel values (3 MB each here)
+    def test_peak_memory_is_the_factor(self):
+        # the factor is built one kernel column at a time: no N x N array,
+        # only the N x n factor (1 MB here) and a few length-N columns
         pts = quasi_uniform_grid(3, 1500).points
         tracemalloc.start()
         try:
@@ -303,23 +301,18 @@ class TestGramSimulatorFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= sim._chol.nbytes + 10 * 2**20
+        assert peak <= sim.factor.nbytes + 2**20
+        assert peak < 1500 * 1500 * 8 / 10
 
-    def test_later_rung_rebuilds_the_gram(self):
-        # for l=1 the kernel is <x, y>: rows of norm^2 1 + 5e-12 give the
-        # Gram r^2 U U^T + (1 + jitter - r^2) I, whose smallest eigenvalue
-        # (512 points, rank 4) is jitter - 5e-12, so 1e-12 fails and 1e-11
-        # factors the Gram built afresh
-        level = HarmonicLevel(1, 3)
-        pts = _unit_rows(7, 512) * math.sqrt(1.0 + 5e-12)
+    def test_fewer_points_than_n_leave_columns_zero(self):
+        # 10 points for n = 25: the Gram has full rank 10, the factor is
+        # exact after 10 steps and its last 15 columns stay zero
+        level = HarmonicLevel(4, 3)
+        pts = _unit_rows(9, 10)
         sim = GramSimulator(level, pts)
-        assert sim.jitter == 1e-11
-        assert np.array_equal(sim._chol, _factor_oracle(level, pts, 1e-11))
-
-    def test_no_factor_past_the_ladder(self):
-        pts = _unit_rows(7, 512) * math.sqrt(1.0 + 5e-8)
-        with pytest.raises(GeometryError, match="not positive definite"):
-            GramSimulator(HarmonicLevel(1, 3), pts)
+        assert sim.rank == 10 and not sim.factor[:, 10:].any()
+        np.testing.assert_allclose(sim.factor @ sim.factor.T, _gram_oracle(level, pts),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("count", [2, 300])
     def test_repeated_points_refused(self, count):

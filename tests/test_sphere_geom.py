@@ -59,6 +59,16 @@ class TestQuasiUniformGrid:
             val = float(g.weights @ gegenbauer(ell, 2, t))
             assert abs(val) <= 5.0 * ell / math.sqrt(count)
 
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    @pytest.mark.parametrize("count", [2, 7, 400, 5000])
+    def test_banded_set_is_count_distinct_unit_points(self, dim, count):
+        g = quasi_uniform_grid(dim, count)
+        assert g.points.shape == (count, dim + 1)
+        assert len(np.unique(g.points, axis=0)) == count
+        np.testing.assert_allclose(np.linalg.norm(g.points, axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
+        assert np.all(g.weights == 1.0 / count)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             quasi_uniform_grid(2, 1)

@@ -249,9 +249,8 @@ def _cmd_epc(args: argparse.Namespace) -> int:
         from .excursion import euler_characteristic_mesh
         from .sphere_geom import icosphere
 
-        mesh = icosphere(args.subdivision)
-        for u in args.u:
-            chi = euler_characteristic_mesh(coeffs, mesh, u)
+        chis = euler_characteristic_mesh(coeffs, icosphere(args.subdivision), args.u)
+        for u, chi in zip(args.u, chis.tolist()):
             print(f"{fmt12(u)},{chi}")
     else:
         from .excursion import euler_characteristic_morse, find_critical_points

@@ -193,6 +193,8 @@ _SEED_CELLS_PER_ELL2 = 40
 _DEDUPE_RADIUS_ELL = 0.02
 _NEWTON_MAX_ITER = 40
 _ROTATION_ATTEMPTS = 3
+# spacing times ell of the cap rings seeded inside the grid's second ring
+_CAP_RING_STEP = 0.5
 
 
 def _sample_rotation(coeffs: CoefficientVector, attempt: int) -> np.ndarray:
@@ -222,7 +224,12 @@ def _seed_rings(ell: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...
     The seeds are the upper half of an iso-latitude grid of at least
     40 ell^2 cells: its rings with theta <= pi/2 (the equator ring
     included when the ring count is odd), in ring-major order and at the
-    exact ring coordinates.  A degree-ell field has parity (-1)^ell, so
+    exact ring coordinates.  The grid's rings are far apart in theta near
+    the chart pole (the first two sit near 3.3/ell and 5.7/ell at
+    ell=24), which left the cap's critical points unseeded; cap rings at
+    k * 0.5/ell inside the second ring, skipping any within 0.25/ell of a
+    grid ring, fill it.  They share the grid's longitudes, and all rings
+    are sorted by theta.  A degree-ell field has parity (-1)^ell, so
     ``find_critical_points`` reflects the roots these seeds reach instead
     of seeding the lower half.  The tables let the first Newton iteration
     synthesize the jet at every seed by matrix products
@@ -231,6 +238,10 @@ def _seed_rings(ell: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...
     """
     thetas, phis = iso_latitude_grid(_SEED_CELLS_PER_ELL2 * ell * ell).rings
     thetas = thetas[: (thetas.size + 1) // 2]
+    step = _CAP_RING_STEP / ell
+    cap = np.arange(1, math.ceil(thetas[1] / step)) * step
+    clear = np.abs(cap[:, None] - thetas).min(axis=1) >= 0.5 * step
+    thetas = np.sort(np.concatenate([cap[clear], thetas]))
     seeds = (np.repeat(thetas, phis.size), np.tile(phis, thetas.size))
     tables = harmonics._ring_jet_tables(ell, thetas, phis)
     for arr in (*seeds, *tables):
@@ -340,11 +351,12 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
 
     Seeds a Newton search for zeros of the gradient from the upper half of
     an iso-latitude grid of at least 40 ell^2 cells (its rings with
-    theta <= pi/2).  A degree-ell field satisfies f(-x) = (-1)^ell f(x),
-    so its critical set is antipodally symmetric, and Newton commutes
-    with the antipodal map: each converged root (theta, phi) is reflected
-    to (pi - theta, phi + pi), which finds what seeds on both hemispheres
-    would find at half the Newton work.  The search runs on the field
+    theta <= pi/2) and from rings 0.5/ell apart in the polar cap inside
+    its second ring (``_seed_rings``).  A degree-ell field satisfies
+    f(-x) = (-1)^ell f(x), so its critical set is antipodally symmetric,
+    and Newton commutes with the antipodal map: each converged root
+    (theta, phi) is reflected to (pi - theta, phi + pi), which finds what
+    seeds on both hemispheres would find at half the Newton work.  The search runs on the field
     pulled back by a random rotation drawn deterministically from the
     coefficients, so results never depend on where the field happens to
     sit relative to the chart poles and rescaled coefficients retrace the
@@ -457,21 +469,26 @@ def euler_characteristic_morse(cps: CriticalPointSet, u: float) -> int:
 
 
 def euler_characteristic_mesh(
-    coeffs: CoefficientVector, mesh: SphereMesh, u: float
-) -> int:
+    coeffs: CoefficientVector, mesh: SphereMesh, u
+) -> Union[int, np.ndarray]:
     """Euler characteristic of the vertex-threshold subcomplex at level u.
 
-    The field ``coeffs`` is evaluated at the mesh vertices.  A vertex joins
-    the subcomplex when its value is >= u; an edge or face joins when all
-    its vertices do.  For a piecewise-linear interpolant this equals the
-    Euler characteristic of the excursion set whenever u is not a vertex
-    value.
+    The field ``coeffs`` is evaluated once at the mesh vertices.  A vertex
+    joins the subcomplex when its value is >= u; an edge or face joins
+    when all its vertices do.  For a piecewise-linear interpolant this
+    equals the Euler characteristic of the excursion set whenever u is not
+    a vertex value.  A float ``u`` gives an int; a 1-D array of levels
+    gives an int array, one characteristic per level.
     """
-    above = evaluate(coeffs, mesh.vertices) >= u
-    n_v = int(np.count_nonzero(above))
-    n_e = int(np.count_nonzero(above[mesh.edges].all(axis=1)))
-    n_f = int(np.count_nonzero(above[mesh.faces].all(axis=1)))
-    return n_v - n_e + n_f
+    levels = np.asarray(u, dtype=float)
+    if levels.ndim > 1:
+        raise ValueError(f"u must be a float or a 1-D array, got shape {levels.shape}")
+    above = evaluate(coeffs, mesh.vertices)[:, None] >= levels.reshape(1, -1)
+    n_v = np.count_nonzero(above, axis=0)
+    n_e = np.count_nonzero(above[mesh.edges].all(axis=1), axis=0)
+    n_f = np.count_nonzero(above[mesh.faces].all(axis=1), axis=0)
+    chi = n_v - n_e + n_f
+    return int(chi[0]) if levels.ndim == 0 else chi
 
 
 def sup_norm(

@@ -244,17 +244,24 @@ def _basis_matrix(ell: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     Column layout (1-based slot index, the ``m`` column of the coefficient
     CSV): slot 1 is the zonal function, slot 2m the cosine harmonic of
     order m, slot 2m+1 the sine harmonic of order m.
+
+    The Legendre rows are computed once per distinct colatitude and the
+    cosine/sine tables once per distinct longitude, then gathered back per
+    point.  Every element sees the arithmetic it would per point, so the
+    matrix is bit-identical to the per-point one; mesh vertices and
+    quadrature nodes repeat their colatitudes many times over.
     """
-    p_l = _legendre_rows(ell, np.cos(theta), depth=1)[0]
+    u_theta, at_theta = np.unique(theta, return_inverse=True)
+    p_l = _legendre_rows(ell, np.cos(u_theta), depth=1)[0][at_theta]
     n_pts = theta.shape[0]
     basis = np.empty((n_pts, 2 * ell + 1))
     basis[:, 0] = p_l[:, 0]
     if ell > 0:
-        orders = np.arange(1, ell + 1)
-        ang = phi[:, None] * orders[None, :]
+        u_phi, at_phi = np.unique(phi, return_inverse=True)
+        ang = u_phi[:, None] * np.arange(1, ell + 1)[None, :]
         scaled = _SQRT2 * p_l[:, 1:]
-        basis[:, 1::2] = scaled * np.cos(ang)
-        basis[:, 2::2] = scaled * np.sin(ang)
+        basis[:, 1::2] = scaled * np.cos(ang)[at_phi]
+        basis[:, 2::2] = scaled * np.sin(ang)[at_phi]
     return basis
 
 
@@ -295,15 +302,26 @@ def _rotated_coefficients(
     return CoefficientVector(coeffs.level, alpha / norm, coeffs.radius)
 
 
+def _require_unit(pts: np.ndarray) -> None:
+    """Refuse rows of ``pts`` whose norm is off 1 by more than 1e-6."""
+    norms = np.linalg.norm(pts, axis=1)
+    off = np.abs(norms - 1.0)
+    if not np.all(off <= 1e-6):
+        raise ValueError("points must be unit vectors within 1e-6, got a "
+                         f"point of norm {float(norms[np.argmax(off)])!r}")
+
+
 def evaluate(coeffs: CoefficientVector, points: np.ndarray) -> np.ndarray:
     """The field's values (N,) at the unit vectors ``points`` (N, 3), on S^2.
 
-    A single point is a (1, 3) array; any other shape is refused.
+    A single point is a (1, 3) array; any other shape, and any norm off 1
+    by more than 1e-6, is refused.
     """
     _check_s2(coeffs.level)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be an (N, 3) array, got shape {pts.shape}")
+    _require_unit(pts)
     theta, phi = _angles_of(pts)
     basis = _basis_matrix(coeffs.level.ell, theta, phi)
     return coeffs.radius * (basis @ coeffs.alpha)
@@ -571,11 +589,7 @@ class GramSimulator:
                 f"points have ambient dimension {pts.shape[1]}, "
                 f"expected {level.dim + 1}"
             )
-        norms = np.linalg.norm(pts, axis=1)
-        off = np.abs(norms - 1.0)
-        if not np.all(off <= 1e-6):
-            raise ValueError("points must be unit vectors within 1e-6, got a "
-                             f"point of norm {float(norms[np.argmax(off)])!r}")
+        _require_unit(pts)
         n_pts = pts.shape[0]
         if len(np.unique(pts, axis=0)) < n_pts:
             raise GeometryError("points repeat: the point set is degenerate")

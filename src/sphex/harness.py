@@ -789,10 +789,13 @@ def mesh_agreement(
     sound, degenerate = _critical_replicates(
         seed, samples, f"mesh_agreement:ell={ell}", HarmonicLevel(ell, 2)
     )
+    levels = np.asarray(u_list, dtype=float)
     agree = sum(
-        euler_characteristic_morse(cps, u) == euler_characteristic_mesh(coeffs, mesh, u)
+        int(np.count_nonzero(
+            euler_characteristic_mesh(coeffs, mesh, levels)
+            == [euler_characteristic_morse(cps, u) for u in u_list]
+        ))
         for coeffs, cps in sound
-        for u in u_list
     )
     total = len(sound) * len(u_list)
     return {

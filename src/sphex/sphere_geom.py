@@ -157,17 +157,35 @@ class SphereMesh:
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.faces = np.asarray(self.faces, dtype=np.int64)
-        pairs = np.vstack([
-            self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [0, 2]]
-        ])
-        pairs.sort(axis=1)
-        self.edges = np.unique(pairs, axis=0)
+        n_v = len(self.vertices)
+        if self.faces.size and not 0 <= self.faces.min() <= self.faces.max() < n_v:
+            raise ValueError(
+                f"face indices must lie in [0, {n_v}), got "
+                f"[{self.faces.min()}, {self.faces.max()}]"
+            )
+        self.edges, _ = _face_edges(self.faces, n_v)
         chi = len(self.vertices) - len(self.edges) + len(self.faces)
         if chi != 2:
             raise ValueError(f"mesh is not a topological sphere (chi = {chi})")
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
+
+
+def _face_edges(faces: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted unique edges (E, 2) of ``faces`` and, for each of the
+    face sides (0,1), (1,2), (0,2) stacked side-major, its edge's row.
+
+    Each side (i, j), i < j, is keyed i * n_vertices + j, so a 1-D unique
+    on the keys sorts the edges in the row order ``np.unique(axis=0)``
+    gives; the indices must lie in [0, n_vertices).
+    """
+    pairs = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]])
+    pairs.sort(axis=1)
+    keys, inverse = np.unique(pairs[:, 0] * n_vertices + pairs[:, 1],
+                              return_inverse=True)
+    return np.column_stack(np.divmod(keys, n_vertices)), inverse
+
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     t = (1.0 + math.sqrt(5.0)) / 2.0
@@ -202,9 +220,7 @@ def icosphere(subdivision: int) -> SphereMesh:
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]])
-    pairs.sort(axis=1)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    edges, inverse = _face_edges(faces, len(verts))
     mid = verts[edges[:, 0]] + verts[edges[:, 1]]
     mid /= np.linalg.norm(mid, axis=1, keepdims=True)
     mid_idx = len(verts) + np.arange(len(edges))

@@ -323,6 +323,16 @@ class TestFieldCommands:
         chi = euler_characteristic_mesh(coeffs, icosphere(4), 0.0)
         assert line == f"0,{chi}"
 
+    def test_epc_mesh_many_levels(self, sample_csv, capsys):
+        assert main(["epc", "--input", sample_csv, "--u=-1,0,0.5,1",
+                     "--oracle", "mesh", "--subdivision", "3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        coeffs = read_coefficients_csv(sample_csv)
+        mesh = icosphere(3)
+        assert out[1:] == [
+            f"{fmt12(u)},{euler_characteristic_mesh(coeffs, mesh, u)}"
+            for u in (-1.0, 0.0, 0.5, 1.0)]
+
     def test_epc_degenerate_is_runtime_failure(self, zonal_csv, capsys):
         # a zonal field has circles of critical points: the Morse route
         # refuses, the mesh route still answers

@@ -528,10 +528,15 @@ class TestSeedRings:
         # last rings (largest 1/sin theta) included, to rounding scaled by
         # the derivative order j of each output.  The seeds are the rings of
         # the upper hemisphere (theta <= pi/2, the equator ring included when
-        # the ring count is odd)
+        # the ring count is odd) plus cap rings at k * 0.5/ell inside the
+        # second ring, none within 0.25/ell of a grid ring, sorted by theta
         (seed_t, seed_p), tables = excursion._seed_rings(ell)
         thetas, phis = iso_latitude_grid(40 * ell * ell).rings
         thetas = thetas[thetas <= math.pi / 2]
+        cap = np.arange(1, 4 * ell) * (0.5 / ell)
+        cap = cap[(cap < thetas[1])
+                  & (np.abs(cap[:, None] - thetas).min(axis=1) >= 0.25 / ell)]
+        thetas = np.sort(np.concatenate([cap, thetas]))
         assert np.array_equal(seed_t, np.repeat(thetas, phis.size))
         assert np.array_equal(seed_p, np.tile(phis, thetas.size))
         for rep in range(2):
@@ -544,6 +549,16 @@ class TestSeedRings:
                 tol = 1e-12 * cv.radius * ell**j
                 assert err[0].max() <= tol and err[-1].max() <= tol
                 assert err.max() <= tol
+
+    @pytest.mark.parametrize("r", [5, 9, 11])
+    def test_cap_rings_spare_the_retry(self, r):
+        # without the cap rings these ell=24 fields missed critical points
+        # near the chart pole and failed the Morse count on the first
+        # rotation; the cap seeds find them on the first attempt
+        cv = sample_gaussian(HarmonicLevel(24, 2), stream(5000 + r, 0, "cmp"))
+        cps = find_critical_points(cv)
+        assert cps.rotation_attempts == 1
+        assert not cps.degenerate_flag
 
     def test_seed_cache_follows_the_degree(self):
         # the seed rings and their tables are kept for the last degree only;
@@ -740,6 +755,17 @@ class TestEulerCharacteristic:
         assert euler_characteristic_mesh(cv, mesh, float(vals.min()) - 1) == 2
         assert euler_characteristic_mesh(cv, mesh, float(vals.max()) + 1) == 0
 
+    def test_mesh_levels_at_once_equal_one_by_one(self, epc_sample):
+        cv, _ = epc_sample
+        mesh = icosphere(4)
+        levels = np.array([-2.0, -1.0, -0.3, 0.0, 0.4, 1.0, 2.5])
+        chis = euler_characteristic_mesh(cv, mesh, levels)
+        assert chis.shape == levels.shape and chis.dtype.kind == "i"
+        assert chis.tolist() == [
+            euler_characteristic_mesh(cv, mesh, float(u)) for u in levels]
+        assert type(euler_characteristic_mesh(cv, mesh, 0.0)) is int
+        assert euler_characteristic_mesh(cv, mesh, levels[:0]).shape == (0,)
+
     def test_mesh_matches_morse(self, epc_sample):
         cv, cps = epc_sample
         mesh = icosphere(6)
@@ -829,9 +855,9 @@ class TestExportCsv:
     # sha256 of the value, kind, residual and eigenvalue columns (header
     # included), which do not depend on how the positions are normalized
     @pytest.mark.parametrize("ell, rows, digest", [
-        (3, 14, "f19b405f2474e2cde1ff227ba52dd4cbdc2bc02ac3c14e9179c69eefe8781e33"),
-        (8, 82, "a0e325bf375f02d5910d4daa97f78b16c9976a4fec5a01b88befeea212c2ef4f"),
-        (16, 322, "c926090f00dd6aa4c81100bf2b8a407b3798ca54e04777db6b73e039103d1684"),
+        (3, 14, "389bad9ab7dccec77c7b741a155c52b2c34eb04a7bcd6dff668456b90ea837a7"),
+        (8, 82, "7506fa0f5f565e42c8e1e3d6cdbe4a54b9ce4a9e78f915f9ecfe97233886bc67"),
+        (16, 322, "4d32d0158392b1747520f89baf28f48d7943ebf82c40857a1ccafd33abbc085c"),
     ])
     def test_columns_pinned(self, ell, rows, digest):
         cv = sample_gaussian(HarmonicLevel(ell, 2), stream(26, ell, "export"))

@@ -31,9 +31,15 @@ from sphex.harmonics import (
     sample_unit_coefficients,
     stream,
 )
-from sphex.harmonics import _frame_jet2, _legendre_rows, _longitude_waves
+from sphex.harmonics import (
+    _angles_of,
+    _basis_matrix,
+    _frame_jet2,
+    _legendre_rows,
+    _longitude_waves,
+)
 from sphex.specfun import HarmonicLevel, gegenbauer
-from sphex.sphere_geom import iso_latitude_grid
+from sphex.sphere_geom import icosphere, iso_latitude_grid
 
 
 def gl_product(n_theta: int, n_phi: int):
@@ -191,6 +197,14 @@ class TestEvaluate:
         cv = unit_coeffs(HarmonicLevel(2, 2), 1)
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             evaluate(cv, np.ones(shape))
+
+    def test_refuses_points_off_the_unit_sphere(self):
+        cv = unit_coeffs(HarmonicLevel(2, 2), 1)
+        pts = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match=re.escape(repr(math.sqrt(3.0)))):
+            evaluate(cv, pts)
+        # rounding-level drift is accepted
+        evaluate(cv, np.array([[0.0, 0.0, 1.0 + 1e-9]]))
 
     def test_grid_ring_path_matches_pointwise(self):
         rng = stream(4, 0, "ringpath")
@@ -398,6 +412,36 @@ class TestLegendreKernel:
             single = _frame_jet2(cv, theta[i : i + 1], phi[i : i + 1])
             for w, one in zip(whole, single):
                 assert np.array_equal(w[i : i + 1], one)
+
+
+def basis_matrix_per_point(ell: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The basis with Legendre rows and longitude tables at every point."""
+    p_l = _legendre_rows(ell, np.cos(theta), depth=1)[0]
+    basis = np.empty((theta.shape[0], 2 * ell + 1))
+    basis[:, 0] = p_l[:, 0]
+    if ell > 0:
+        ang = phi[:, None] * np.arange(1, ell + 1)[None, :]
+        basis[:, 1::2] = math.sqrt(2.0) * p_l[:, 1:] * np.cos(ang)
+        basis[:, 2::2] = math.sqrt(2.0) * p_l[:, 1:] * np.sin(ang)
+    return basis
+
+
+class TestBasisMatrix:
+    @pytest.mark.parametrize("points", ["icosphere", "rings", "random"])
+    @pytest.mark.parametrize("ell", [0, 1, 7, 64])
+    def test_bit_identical_to_per_point(self, points, ell):
+        # rows are computed per distinct colatitude and tables per distinct
+        # longitude; the gathered matrix must be the per-point one exactly
+        if points == "icosphere":
+            pts = icosphere(4).vertices
+        elif points == "rings":
+            pts = iso_latitude_grid(3000).points
+        else:
+            pts = np.random.default_rng(ell).standard_normal((2000, 3))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        theta, phi = _angles_of(pts)
+        assert np.array_equal(_basis_matrix(ell, theta, phi),
+                              basis_matrix_per_point(ell, theta, phi))
 
 
 class TestLongitudeWaves:

@@ -11,7 +11,13 @@ import pytest
 
 from sphex.harmonics import CoefficientVector, evaluate
 from sphex.specfun import HarmonicLevel, gegenbauer
-from sphex.sphere_geom import icosphere, iso_latitude_grid, quasi_uniform_grid
+from sphex.sphere_geom import (
+    SphereMesh,
+    _icosahedron,
+    icosphere,
+    iso_latitude_grid,
+    quasi_uniform_grid,
+)
 
 
 class TestQuasiUniformGrid:
@@ -95,6 +101,28 @@ class TestIsoLatitudeGrid:
         assert float(g.weights @ z**2) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
+def row_unique_edges(faces):
+    pairs = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]])
+    pairs.sort(axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    return edges, inverse.ravel()
+
+
+def row_unique_subdivide(verts, faces):
+    edges, inverse = row_unique_edges(faces)
+    mid = verts[edges[:, 0]] + verts[edges[:, 1]]
+    mid /= np.linalg.norm(mid, axis=1, keepdims=True)
+    m01, m12, m02 = (len(verts) + inverse).reshape(3, -1)
+    v0, v1, v2 = faces.T
+    new_faces = np.concatenate([
+        np.column_stack([v0, m01, m02]),
+        np.column_stack([v1, m12, m01]),
+        np.column_stack([v2, m02, m12]),
+        np.column_stack([m01, m12, m02]),
+    ])
+    return np.vstack([verts, mid]), new_faces
+
+
 class TestIcosphere:
     def test_base_combinatorics(self):
         m = icosphere(0)
@@ -120,6 +148,24 @@ class TestIcosphere:
             chord = np.linalg.norm(
                 m.vertices[m.edges[:, 0]] - m.vertices[m.edges[:, 1]], axis=1)
             assert np.max(2.0 * np.arcsin(chord / 2.0)) < 3.0 * 2.0 ** -s
+
+    def test_edges_and_subdivision_match_a_row_unique_oracle(self):
+        # the edge dedupe keys each sorted pair as i * V + j; it must give
+        # the vertices, faces and edges of np.unique over rows exactly
+        verts, faces = _icosahedron()
+        for s in range(7):
+            m = icosphere(s)
+            assert np.array_equal(m.vertices, verts)
+            assert np.array_equal(m.faces, faces)
+            assert np.array_equal(m.edges, row_unique_edges(faces)[0])
+            verts, faces = row_unique_subdivide(verts, faces)
+
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_mesh_refuses_face_indices_out_of_range(self, bad):
+        verts, faces = _icosahedron()
+        faces[3, 1] = bad
+        with pytest.raises(ValueError, match=r"face indices must lie in \[0, 12\)"):
+            SphereMesh(verts, faces)
 
     def test_capacity_guard(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ Euler characteristic of excursion sets follows by Morse counting, with an
 independent combinatorial route through triangulated meshes.  A critical
 set is held as columns (``CriticalPointSet``: positions, values, residuals,
 Hessian eigenvalues and Morse index), so every count over it is one array
-expression.
+expression.  The sup norm runs on the same parts: it scans the search's
+seed rings and polishes the best seeds with the same batched Newton.
 """
 
 from __future__ import annotations
@@ -25,15 +26,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import harmonics
-from .harmonics import (
-    CoefficientVector,
-    FieldSample,
-    GeometryError,
-    evaluate,
-    evaluate_grid,
-)
+from .harmonics import CoefficientVector, FieldSample, GeometryError, evaluate
 from .specfun import CriticalKind, _normal_cdf
-from .sphere_geom import SphereGrid, SphereMesh, iso_latitude_grid
+from .sphere_geom import SphereMesh, _iso_latitude_rings
 
 __all__ = [
     "CriticalPointSet",
@@ -195,6 +190,13 @@ _NEWTON_MAX_ITER = 40
 _ROTATION_ATTEMPTS = 3
 # spacing times ell of the cap rings seeded inside the grid's second ring
 _CAP_RING_STEP = 0.5
+# sup_norm polishes the seeds whose |f| is within this fraction of the scan
+# maximum.  Along a great circle a degree-ell field is a trigonometric
+# polynomial of degree <= ell, so Bernstein's inequality gives
+# |f| >= M (1 - (ell delta)^2 / 2) within distance delta of a maximizer of
+# |f| = M; at the seed rings' covering radius away from the caps,
+# ell delta = 0.53, that is 0.86
+_SUP_SEED_FRACTION = 0.86
 
 
 def _sample_rotation(coeffs: CoefficientVector, attempt: int) -> np.ndarray:
@@ -219,34 +221,36 @@ def _sample_rotation(coeffs: CoefficientVector, attempt: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _seed_rings(ell: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Newton seeds of degree ell and their ring jet tables, last degree only.
+    """Newton seed rings of degree ell and their jet tables, last degree only.
 
-    The seeds are the upper half of an iso-latitude grid of at least
+    Returns (thetas, phis) and the tables; the seeds are their product in
+    ring-major order, seed k at (thetas[k // n_phi], phis[k % n_phi]).
+    The rings are the upper half of an iso-latitude grid of at least
     40 ell^2 cells: its rings with theta <= pi/2 (the equator ring
-    included when the ring count is odd), in ring-major order and at the
-    exact ring coordinates.  The grid's rings are far apart in theta near
-    the chart pole (the first two sit near 3.3/ell and 5.7/ell at
-    ell=24), which left the cap's critical points unseeded; cap rings at
-    k * 0.5/ell inside the second ring, skipping any within 0.25/ell of a
-    grid ring, fill it.  They share the grid's longitudes, and all rings
-    are sorted by theta.  A degree-ell field has parity (-1)^ell, so
-    ``find_critical_points`` reflects the roots these seeds reach instead
-    of seeding the lower half.  The tables let the first Newton iteration
-    synthesize the jet at every seed by matrix products
-    (``harmonics._ring_jet2``).  One degree is kept, since a campaign cell
-    searches many fields of one degree.
+    included when the ring count is odd), at the exact ring coordinates.
+    The grid's rings are far apart in theta near the chart pole (the
+    first two sit near 3.3/ell and 5.7/ell at ell=24), which left the
+    cap's critical points unseeded; cap rings at k * 0.5/ell inside the
+    second ring, skipping any within 0.25/ell of a grid ring, fill it.
+    They share the grid's longitudes, and all rings are sorted by theta.
+    A degree-ell field has parity (-1)^ell, so ``find_critical_points``
+    reflects the roots these seeds reach instead of seeding the lower
+    half.  The tables let the first Newton iteration synthesize the jet
+    at every seed by matrix products (``harmonics._ring_jet2``), and
+    ``sup_norm`` scan the values (``harmonics._ring_values``).  One
+    degree is kept, since a campaign cell searches many fields of one
+    degree.
     """
-    thetas, phis = iso_latitude_grid(_SEED_CELLS_PER_ELL2 * ell * ell).rings
+    thetas, phis = _iso_latitude_rings(_SEED_CELLS_PER_ELL2 * ell * ell)
     thetas = thetas[: (thetas.size + 1) // 2]
     step = _CAP_RING_STEP / ell
     cap = np.arange(1, math.ceil(thetas[1] / step)) * step
     clear = np.abs(cap[:, None] - thetas).min(axis=1) >= 0.5 * step
     thetas = np.sort(np.concatenate([cap[clear], thetas]))
-    seeds = (np.repeat(thetas, phis.size), np.tile(phis, thetas.size))
     tables = harmonics._ring_jet_tables(ell, thetas, phis)
-    for arr in (*seeds, *tables):
+    for arr in (thetas, phis, *tables):
         arr.flags.writeable = False
-    return seeds, tables
+    return (thetas, phis), tables
 
 
 def _newton_roots(
@@ -254,17 +258,18 @@ def _newton_roots(
     seeds_theta: np.ndarray,
     seeds_phi: np.ndarray,
     seed_jet: tuple[np.ndarray, ...],
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched damped Newton iteration on the frame gradient.
 
     ``seed_jet`` is the ``_frame_jet2`` output at the seeds, which the
     first iteration uses; later iterations evaluate the jet at the
-    iterates.  Returns (theta, phi) arrays of converged iterates.
+    iterates.  An iterate has converged once its gradient norm is at most
+    1e-8 * ell * radius.  Returns (theta, phi) arrays of converged iterates.
     Non-converged or escaped seeds are silently dropped; completeness is
     the caller's responsibility (seed density plus the Morse-count check).
     """
     ell = coeffs.level.ell
+    tol = 1e-8 * ell * coeffs.radius
     theta, phi = seeds_theta, seeds_phi
     step_cap = 0.5 * math.pi / ell
     quantum = 0.05 / ell
@@ -312,22 +317,20 @@ def _newton_roots(
             # 0.02/ell merge radius, so it may drop an iterate bound for a
             # second root nearby; a 0.01/ell quantum found the same sets at
             # ell=24 in about a fifth more time
-            key = np.round(
-                np.column_stack(
-                    [
-                        np.sin(theta) * np.cos(phi),
-                        np.sin(theta) * np.sin(phi),
-                        np.cos(theta),
-                    ]
-                )
-                / quantum
-            ).astype(np.int64)
+            key = np.round(_unit_vectors(theta, phi) / quantum).astype(np.int64)
             _, first = np.unique(key, axis=0, return_index=True)
             first.sort()
             theta, phi = theta[first], phi[first]
     if not converged_t:
         return np.empty(0), np.empty(0)
     return np.concatenate(converged_t), np.concatenate(converged_p)
+
+
+def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The (N, 3) unit vectors at colatitudes ``theta``, longitudes ``phi``."""
+    return np.column_stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    )
 
 
 def _dedupe_first_wins(points: np.ndarray, radius: float) -> np.ndarray:
@@ -382,9 +385,9 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
     if ell < 1:
         raise ValueError("constant fields (ell = 0) have no isolated critical points")
     radius = _DEDUPE_RADIUS_ELL / ell
-    tol = 1e-8 * ell * coeffs.radius
     floor = 1e-6 * ell * ell * coeffs.radius
-    (s_theta, s_phi), tables = _seed_rings(ell)
+    (thetas, phis), tables = _seed_rings(ell)
+    s_theta, s_phi = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
     last: Optional[CriticalPointSet] = None
     for attempt in range(_ROTATION_ATTEMPTS):
         # search the pulled-back field f(rot .) so the field's own critical
@@ -395,18 +398,12 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
         rot = _sample_rotation(coeffs, attempt)
         work = harmonics._rotated_coefficients(coeffs, rot)
         seed_jet = harmonics._ring_jet2(work, tables)
-        root_t, root_p = _newton_roots(work, s_theta, s_phi, seed_jet, tol)
+        root_t, root_p = _newton_roots(work, s_theta, s_phi, seed_jet)
         # the antipode of a root of the rotated field is a root too: it is
         # where the reflected seed would have converged
         root_t = np.concatenate([root_t, math.pi - root_t])
         root_p = np.concatenate([root_p, root_p + math.pi])
-        xyz = np.column_stack(
-            [
-                np.sin(root_t) * np.cos(root_p),
-                np.sin(root_t) * np.sin(root_p),
-                np.cos(root_t),
-            ]
-        )
+        xyz = _unit_vectors(root_t, root_p)
         rep = _dedupe_first_wins(xyz, radius)
         root_t, root_p, xyz = root_t[rep], root_p[rep], xyz[rep]
         values, g_t, g_p, h_tt, h_tp, h_pp = harmonics._frame_jet2(work, root_t, root_p)
@@ -491,68 +488,40 @@ def euler_characteristic_mesh(
     return int(chi[0]) if levels.ndim == 0 else chi
 
 
-def sup_norm(
-    coeffs: CoefficientVector, grid: Optional[SphereGrid] = None
-) -> tuple[float, np.ndarray]:
+def sup_norm(coeffs: CoefficientVector) -> tuple[float, np.ndarray]:
     """Sup norm of the field and a point attaining it, as a (3,) unit array.
 
-    Scans an iso-latitude grid of at least 40 ell^2 cells (or the supplied
-    grid, which callers evaluating many replicates should construct once)
-    and polishes the best cell with a curvature-aware ascent on the signed
-    field.  The returned value is never below the grid maximum.
+    Scans the seed rings of the critical-point search (``_seed_rings``);
+    since |f(-x)| = |f(x)| their upper hemisphere is enough.  The seeds
+    whose |f| is within 0.86 of the scan maximum, taken in descending
+    order and merged first-wins within 1/ell, start one batched Newton
+    search for critical points (``_newton_roots``).  The result is the
+    largest |f| among the best seed, the roots and the two poles, which
+    are evaluated directly since no Newton iteration in this chart
+    converges at its own poles; a constant field (ell = 0) is answered
+    at the poles alone.  It is never below the best seed's value.
     """
     level = coeffs.level
     if level.dim != 2:
         raise ValueError("sup_norm requires an explicit field on S^2")
-    ell = max(level.ell, 1)
-    if grid is None:
-        grid = iso_latitude_grid(40 * ell * ell)
-    vals = evaluate_grid(coeffs, grid)
-    best = int(np.argmax(np.abs(vals)))
-    best_val = float(vals[best])
-    sign = 1.0 if best_val >= 0 else -1.0
-    theta = float(np.arccos(np.clip(grid.points[best, 2], -1.0, 1.0)))
-    phi = float(np.arctan2(grid.points[best, 1], grid.points[best, 0]))
-    result = abs(best_val)
-    arg = grid.points[best] / float(np.linalg.norm(grid.points[best]))
-    tol = 1e-10 * max(1.0, ell * coeffs.radius)
-    step_cap = 0.5 * math.pi / ell
-    t, p = theta, phi
-    for _ in range(25):
-        val, g_t, g_p, h_tt, h_tp, h_pp = harmonics._frame_jet2(
-            coeffs, np.array([t]), np.array([p])
-        )
-        g = np.array([float(g_t[0]), float(g_p[0])])
-        if math.hypot(g[0], g[1]) <= tol:
-            break
-        hess = np.array(
-            [[float(h_tt[0]), float(h_tp[0])], [float(h_tp[0]), float(h_pp[0])]]
-        )
-        # Newton toward a maximum of sign * f; fall back to steepest
-        # ascent when the curvature is not usable
-        try:
-            step = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
-            step = sign * g * (0.1 * step_cap / max(np.linalg.norm(g), 1e-300))
-        norm = float(np.linalg.norm(step))
-        if not math.isfinite(norm):
-            break
-        if norm > step_cap:
-            step *= step_cap / norm
-        t = t + float(step[0])
-        p = p + float(step[1]) / max(math.sin(t), 1e-12)
-        if t < 0:
-            t, p = -t, p + math.pi
-        elif t > math.pi:
-            t, p = 2.0 * math.pi - t, p + math.pi
-    st = math.sin(t)
-    xyz = np.array([st * math.cos(p), st * math.sin(p), math.cos(t)])
-    polished = xyz / float(np.linalg.norm(xyz))
-    final = float(evaluate(coeffs, polished[None, :])[0])
-    if abs(final) > result:
-        result = abs(final)
-        arg = polished
-    return result, arg
+    ell = level.ell
+    candidates = [np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])]
+    if ell >= 1:
+        (thetas, phis), tables = _seed_rings(ell)
+        size = np.abs(harmonics._ring_values(coeffs, tables))
+        top = np.flatnonzero(size >= _SUP_SEED_FRACTION * size.max())
+        ring, lon = np.divmod(top[np.argsort(-size[top], kind="stable")], phis.size)
+        theta, phi = thetas[ring], phis[lon]
+        xyz = _unit_vectors(theta, phi)
+        rep = _dedupe_first_wins(xyz, 1.0 / ell)
+        theta, phi = theta[rep], phi[rep]
+        seed_jet = harmonics._frame_jet2(coeffs, theta, phi)
+        root_t, root_p = _newton_roots(coeffs, theta, phi, seed_jet)
+        candidates = [xyz[:1], _unit_vectors(root_t, root_p), *candidates]
+    points = np.vstack(candidates)
+    found = np.abs(evaluate(coeffs, points))
+    best = int(np.argmax(found))
+    return float(found[best]), points[best]
 
 
 def export_critical_points_csv(cps: CriticalPointSet, fh) -> None:

@@ -532,6 +532,22 @@ def _ring_jet2(
     return tuple(q.ravel() for q in (val, g_t, g_p, h_tt, h_tp, h_pp))
 
 
+def _ring_values(
+    coeffs: CoefficientVector, tables: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """The value output of ``_ring_jet2`` alone, from the same tables.
+
+    One matrix product of the P_bar rows, weighted by the cosine and sine
+    coefficients, with the longitude lattices; flat in ring-major order.
+    """
+    _, _, jet, lattice = tables
+    a = coeffs.alpha
+    p = jet[0]
+    rows = np.hstack([p[:, 1:] * a[1::2], p[:, 1:] * a[2::2]])
+    vals = a[0] * p[:, :1] + _SQRT2 * (rows @ lattice)
+    return (coeffs.radius * vals).ravel()
+
+
 # ---------------------------------------------------------------------------
 # field samples and Gram-based simulation
 # ---------------------------------------------------------------------------

@@ -104,6 +104,8 @@ class ExperimentConfig:
     simulations, whose simulator holds an N x n factor (8 N n bytes at
     eigenspace dimension n) built in O(N n^2) time; N is
     ``grid_density * ell**dim`` below the cap, and must be at least 2.
+    ``supnorm`` does not read ``grid_density``: ``sup_norm`` scans its own
+    seed rings.
     """
 
     kind: str
@@ -584,11 +586,10 @@ def _run_supnorm(record: ExperimentRecord) -> None:
     cells = []
     for ell in config.ell_list:
         cell = _Cell(record, ell)
-        grid = iso_latitude_grid(max(40, config.grid_density) * ell * ell)
 
         def sup_and_radius(rng: np.random.Generator) -> tuple[float, float]:
             coeffs = sample_gaussian(cell.level, rng)
-            return sup_norm(coeffs, grid=grid)[0], coeffs.radius
+            return sup_norm(coeffs)[0], coeffs.radius
 
         sups, radii = cell.replicates(f"supnorm:ell={ell}", sup_and_radius).T
         cell.stop()

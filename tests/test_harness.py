@@ -802,10 +802,10 @@ class TestGridGolden:
             "9d070cd25f3f28f2af13ab4de59f45184dec1b38a9d15fefcd0064b44f9cccc2"
         ),
         "supnorm.csv": (
-            "2ae6d15a4ca53f2e120eb8d1a10d20a7ff712f13338c4cfc5c3a0a634aa9b2fa"
+            "ec64104d4ab57a158915639ad4837940edb8c14ba1ce3791a642d60c648eca2a"
         ),
         "supnorm.json": (
-            "afcaaa23e5ae4d3b94e451fd7c2f1f0ac27926d4d5da294dcc830a39a3fe006c"
+            "9e50e1552fcac789e50db4b780cc70ad4f7348cd662c8f160e7e1271bf955a19"
         ),
     }
 

@@ -4,13 +4,15 @@ The excursion volume of a field sample at level u is the measure of
 {f >= u} under the normalized surface measure; its distribution across
 samples, compared against the Gaussian tail, is the central object of the
 package.  This module also locates and classifies all critical points of
-an explicit field by a rotated-seed batched Newton search, from which the
-Euler characteristic of excursion sets follows by Morse counting, with an
-independent combinatorial route through triangulated meshes.  A critical
-set is held as columns (``CriticalPointSet``: positions, values, residuals,
-Hessian eigenvalues and Morse index), so every count over it is one array
-expression.  The sup norm runs on the same parts: it scans the search's
-seed rings and polishes the best seeds with the same batched Newton.
+an explicit field by a rotated-seed batched Newton search, started only
+from the seeds whose first step fits its step cap, with roots merged
+within one Morse index.  The Euler characteristic of excursion sets
+follows by Morse counting, with an independent combinatorial route
+through triangulated meshes.  A critical set is held as columns
+(``CriticalPointSet``: positions, values, residuals, Hessian eigenvalues
+and Morse index), so every count over it is one array expression.  The
+sup norm runs on the same parts: it scans the search's seed rings and
+polishes the best seeds with the same batched Newton.
 """
 
 from __future__ import annotations
@@ -263,16 +265,25 @@ def _newton_roots(
 
     ``seed_jet`` is the ``_frame_jet2`` output at the seeds, which the
     first iteration uses; later iterations evaluate the jet at the
-    iterates.  An iterate has converged once its gradient norm is at most
-    1e-8 * ell * radius.  Returns (theta, phi) arrays of converged iterates.
-    Non-converged or escaped seeds are silently dropped; completeness is
-    the caller's responsibility (seed density plus the Morse-count check).
+    iterates.  Every step is capped at pi/(2 ell).  A seed whose first,
+    undamped step is longer than the cap starts outside every root's
+    quadratic basin, so it is dropped there: a seed closer to the same
+    root starts a shorter step, and the far seeds (about 60% of the seed
+    rings) were the ones that wandered without converging.  An iterate has
+    converged once its gradient norm is at most 1e-8 * ell * radius.
+    Returns (theta, phi) arrays of converged iterates.  Non-converged,
+    escaped or far seeds are silently dropped; completeness is the
+    caller's responsibility (seed density plus the Morse-count check).
     """
     ell = coeffs.level.ell
     tol = 1e-8 * ell * coeffs.radius
     theta, phi = seeds_theta, seeds_phi
     step_cap = 0.5 * math.pi / ell
     quantum = 0.05 / ell
+    # the thinning key packs the three rounded coordinates, each within
+    # [-1/quantum, 1/quantum], into one int64 in base 2 * span + 1
+    span = math.ceil(1.0 / quantum)
+    base = 2 * span + 1
     converged_t: list[np.ndarray] = []
     converged_p: list[np.ndarray] = []
     blow_up = 50.0 * ell * coeffs.radius * max(ell, 1)
@@ -298,8 +309,11 @@ def _newton_roots(
         step_p = -inv_det * (-h_tp[keep] * g[:, 0] + h_tt[keep] * g[:, 1])
         norm = np.hypot(step_t, step_p)
         damp = np.where(norm > step_cap, step_cap / np.maximum(norm, 1e-300), 1.0)
-        # drop seeds whose Hessian was numerically singular
+        # drop iterates whose Hessian was numerically singular, and seeds
+        # whose first step would be capped
         alive = safe & np.isfinite(norm)
+        if it == 0:
+            alive &= norm <= step_cap
         theta, phi = theta[alive], phi[alive]
         step_t, step_p, damp = step_t[alive], step_p[alive], damp[alive]
         sin_t = np.maximum(np.sin(theta), 1e-12)
@@ -317,8 +331,9 @@ def _newton_roots(
             # 0.02/ell merge radius, so it may drop an iterate bound for a
             # second root nearby; a 0.01/ell quantum found the same sets at
             # ell=24 in about a fifth more time
-            key = np.round(_unit_vectors(theta, phi) / quantum).astype(np.int64)
-            _, first = np.unique(key, axis=0, return_index=True)
+            key = np.round(_unit_vectors(theta, phi) / quantum).astype(np.int64) + span
+            _, first = np.unique((key[:, 0] * base + key[:, 1]) * base + key[:, 2],
+                                 return_index=True)
             first.sort()
             theta, phi = theta[first], phi[first]
     if not converged_t:
@@ -366,11 +381,15 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
     identical trajectory; positions are rotated back on output.  Newton
     runs at most 40 iterations; the first evaluates the jet on the seed
     rings by matrix products, from tables kept for the last degree
-    searched.  The roots and their reflections are merged first-wins
-    within 0.02/ell, which joins only copies of one root (distinct
-    critical points can sit closer than 0.1/ell), classified by the
-    eigenvalue signs of the analytic covariant Hessian (the same jet that
-    drives Newton), and accepted only if the Morse count
+    searched, and drops every seed whose first step is longer than the
+    pi/(2 ell) step cap (about 60% of them; see ``_newton_roots``).  The
+    roots and their reflections are classified by the eigenvalue signs of
+    the analytic covariant Hessian (the same jet that drives Newton, one
+    evaluation for all of them), then merged first-wins within 0.02/ell
+    among the roots of one Morse index.  Copies of one root share its
+    index, while a saddle and an extremum can sit closer than the merge
+    radius (0.0095/ell apart in one ell=16 field), so the merge never joins
+    points of different index.  The set is accepted only if the Morse count
     #min - #saddle + #max equals 2 with no eigenvalue inside the
     degeneracy floor 1e-6 * ell^2 * radius.  On failure the search
     retries with a fresh rotation, up to 3 attempts in all; persistent
@@ -404,21 +423,26 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
         root_t = np.concatenate([root_t, math.pi - root_t])
         root_p = np.concatenate([root_p, root_p + math.pi])
         xyz = _unit_vectors(root_t, root_p)
-        rep = _dedupe_first_wins(xyz, radius)
-        root_t, root_p, xyz = root_t[rep], root_p[rep], xyz[rep]
         values, g_t, g_p, h_tt, h_tp, h_pp = harmonics._frame_jet2(work, root_t, root_p)
         mean = 0.5 * (h_tt + h_pp)
         half_gap = np.sqrt(0.25 * (h_tt - h_pp) ** 2 + h_tp**2)
         eig_lo = mean - half_gap
         eig_hi = mean + half_gap
-        # map chart locations back to field positions: g(x) = f(rot x)
-        field_xyz = xyz @ rot.T
-        field_xyz /= np.linalg.norm(field_xyz, axis=1, keepdims=True)
-        degenerate = bool(np.any(np.minimum(np.abs(eig_lo), np.abs(eig_hi)) <= floor))
         index = np.where(eig_hi < 0, 2, np.where(eig_lo > 0, 0, 1))
+        # copies of one root share its Morse index; a saddle and an
+        # extremum can sit closer than the merge radius
+        rep = np.sort(np.concatenate([
+            np.flatnonzero(index == k)[_dedupe_first_wins(xyz[index == k], radius)]
+            for k in range(3)
+        ]))
+        # map chart locations back to field positions: g(x) = f(rot x)
+        field_xyz = xyz[rep] @ rot.T
+        field_xyz /= np.linalg.norm(field_xyz, axis=1, keepdims=True)
+        eig_lo, eig_hi = eig_lo[rep], eig_hi[rep]
+        degenerate = bool(np.any(np.minimum(np.abs(eig_lo), np.abs(eig_hi)) <= floor))
         last = CriticalPointSet(
-            level, field_xyz, values, np.hypot(g_t, g_p),
-            np.column_stack([eig_lo, eig_hi]), index, degenerate, attempt + 1,
+            level, field_xyz, values[rep], np.hypot(g_t[rep], g_p[rep]),
+            np.column_stack([eig_lo, eig_hi]), index[rep], degenerate, attempt + 1,
         )
         c = last.counts()
         if c["minimum"] - c["saddle"] + c["maximum"] == 2 and not degenerate:

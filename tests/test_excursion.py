@@ -509,6 +509,20 @@ class TestFindCriticalPointsGeneric:
         c = cps.counts()
         assert c["minimum"] - c["saddle"] + c["maximum"] == 2
 
+    def test_saddle_minimum_pair_inside_the_merge_radius_is_kept(self):
+        # this ell=16 field has a saddle/minimum pair 0.0095/ell apart, and
+        # its antipodal copy; merging roots within 0.02/ell across Morse
+        # indices joined each pair, so every rotation counted 78 - 156 + 78
+        cv = sample_gaussian(HarmonicLevel(16, 2), stream(5090, 0, "cmp"))
+        cps = find_critical_points(cv)
+        assert not cps.degenerate_flag
+        assert cps.rotation_attempts == 1
+        assert cps.counts() == {"minimum": 80, "saddle": 156, "maximum": 78}
+        saddles = cps.points[cps.index == 1]
+        minima = cps.points[cps.index == 0]
+        gap = np.linalg.norm(saddles[:, None, :] - minima[None, :, :], axis=2)
+        assert np.count_nonzero(gap < 0.02 / 16) == 2
+
     def test_domain_errors(self):
         lv = HarmonicLevel(0, 2)
         with pytest.raises(ValueError):
@@ -563,6 +577,44 @@ class TestSeedRings:
         cps = find_critical_points(cv)
         assert cps.rotation_attempts == 1
         assert not cps.degenerate_flag
+
+    def test_seeds_with_a_capped_first_step_are_dropped(self):
+        # a seed whose undamped first Newton step exceeds the pi/(2 ell)
+        # cap starts outside every root's quadratic basin; the search drops
+        # it, and such seeds are most of the rings
+        ell = 16
+        cv = sample_gaussian(HarmonicLevel(ell, 2), stream(5000, 0, "cmp"))
+        (thetas, phis), tables = excursion._seed_rings(ell)
+        seed_t, seed_p = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
+        jet = harmonics._ring_jet2(cv, tables)
+        _, g_t, g_p, h_tt, h_tp, h_pp = jet
+        hess = np.stack([np.stack([h_tt, h_tp], -1), np.stack([h_tp, h_pp], -1)], -1)
+        step = np.linalg.solve(hess, -np.stack([g_t, g_p], -1)[..., None])[..., 0]
+        far = np.linalg.norm(step, axis=1) > 0.5 * math.pi / ell
+        assert 0.5 < far.mean() < 0.9
+        for subset, found in ((far, False), (~far, True)):
+            roots, _ = excursion._newton_roots(
+                cv, seed_t[subset], seed_p[subset], tuple(j[subset] for j in jet))
+            assert (roots.size > 0) is found
+
+    # Morse counts at the parent of the first-step filter, where every one of
+    # these fields passed on the first rotation
+    @pytest.mark.parametrize("ell, r, counts", [
+        (16, 0, (82, 158, 78)),
+        (16, 2, (84, 160, 78)),
+        (16, 3, (76, 156, 82)),
+        (16, 7, (74, 148, 76)),
+        (24, 0, (184, 352, 170)),
+        (24, 1, (164, 332, 170)),
+        (24, 5, (170, 346, 178)),
+    ])
+    def test_first_step_filter_keeps_the_counts(self, ell, r, counts):
+        cv = sample_gaussian(HarmonicLevel(ell, 2), stream(5000 + r, 0, "cmp"))
+        cps = find_critical_points(cv)
+        assert cps.rotation_attempts == 1
+        assert not cps.degenerate_flag
+        c = cps.counts()
+        assert (c["minimum"], c["saddle"], c["maximum"]) == counts
 
     def test_seed_cache_follows_the_degree(self):
         # the seed rings and their tables are kept for the last degree only;
@@ -856,12 +908,13 @@ class TestExportCsv:
         assert buf.getvalue() == "x,y,z,value,kind,residual,eig1,eig2\r\n"
 
     # sha256 of the value, kind, residual and eigenvalue columns (header
-    # included), which do not depend on how the positions are normalized
+    # included), which do not depend on how the positions are normalized;
+    # the ids leave the digests out, so regenerating one keeps the test's name
     @pytest.mark.parametrize("ell, rows, digest", [
-        (3, 14, "389bad9ab7dccec77c7b741a155c52b2c34eb04a7bcd6dff668456b90ea837a7"),
-        (8, 82, "7506fa0f5f565e42c8e1e3d6cdbe4a54b9ce4a9e78f915f9ecfe97233886bc67"),
-        (16, 322, "4d32d0158392b1747520f89baf28f48d7943ebf82c40857a1ccafd33abbc085c"),
-    ])
+        (3, 14, "c353832e37a9c37500f07fe3d35458b5110fb4d15bd2b2175661f297f221fc51"),
+        (8, 82, "97ca1e13f38db75f32648af938293f47de5941ae00654384a97c4807c1a7dbeb"),
+        (16, 322, "9827a02fd0673d07bd071043a3ffd41112ed3895daf1d9db4d6500613e1ed206"),
+    ], ids=["ell3", "ell8", "ell16"])
     def test_columns_pinned(self, ell, rows, digest):
         cv = sample_gaussian(HarmonicLevel(ell, 2), stream(26, ell, "export"))
         buf = io.StringIO()

@@ -30,7 +30,7 @@ from scipy.spatial import cKDTree
 from . import harmonics
 from .harmonics import CoefficientVector, FieldSample, GeometryError, evaluate
 from .specfun import CriticalKind, _normal_cdf
-from .sphere_geom import SphereMesh, _iso_latitude_rings
+from .sphere_geom import SphereMesh, _iso_latitude_rings, _unit_vectors
 
 __all__ = [
     "CriticalPointSet",
@@ -194,10 +194,12 @@ _ROTATION_ATTEMPTS = 3
 _CAP_RING_STEP = 0.5
 # sup_norm polishes the seeds whose |f| is within this fraction of the scan
 # maximum.  Along a great circle a degree-ell field is a trigonometric
-# polynomial of degree <= ell, so Bernstein's inequality gives
-# |f| >= M (1 - (ell delta)^2 / 2) within distance delta of a maximizer of
-# |f| = M; at the seed rings' covering radius away from the caps,
-# ell delta = 0.53, that is 0.86
+# polynomial of degree <= ell, so Bernstein's inequality gives |f| >=
+# M (1 - (ell delta)^2 / 2) within distance delta of a maximizer of |f| = M.
+# The seeds and antipodes cover within ell delta = 0.51-0.52 at |z| < 0.9
+# (bound >= 0.86) and 0.41-0.49 at |z| > 0.99; at 0.9 <= |z| < 0.99 ell
+# delta is 0.69, 0.84, 1.35 at ell = 16, 24, 64 (bound 0.76, 0.65, 0.08),
+# so 0.86 is unjustified there (ROADMAP, "One theta-uniform seed lattice")
 _SUP_SEED_FRACTION = 0.86
 
 
@@ -339,13 +341,6 @@ def _newton_roots(
     if not converged_t:
         return np.empty(0), np.empty(0)
     return np.concatenate(converged_t), np.concatenate(converged_p)
-
-
-def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The (N, 3) unit vectors at colatitudes ``theta``, longitudes ``phi``."""
-    return np.column_stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-    )
 
 
 def _dedupe_first_wins(points: np.ndarray, radius: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .specfun import HarmonicLevel, gegenbauer
-from .sphere_geom import SphereGrid
+from .sphere_geom import SphereGrid, _unit_vectors
 
 __all__ = [
     "CoefficientVector",
@@ -291,9 +291,7 @@ def _rotated_coefficients(
     theta = np.repeat(np.arccos(nodes), n_phi)
     phi = np.tile(phi, ell + 1)
     weights = np.repeat(gl_w, n_phi) / (2.0 * n_phi)
-    st = np.sin(theta)
-    pts = np.column_stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
-    rotated = pts @ rot.T
+    rotated = _unit_vectors(theta, phi) @ rot.T
     rotated /= np.linalg.norm(rotated, axis=1, keepdims=True)
     target = _basis_matrix(ell, *_angles_of(rotated)) @ coeffs.alpha
     basis = _basis_matrix(ell, theta, phi)
@@ -328,25 +326,14 @@ def evaluate(coeffs: CoefficientVector, points: np.ndarray) -> np.ndarray:
 
 
 def _ring_tables(grid: SphereGrid, ell: int) -> tuple[np.ndarray, ...]:
-    """Ring tables of the separable path, built once per (ell, grid).
+    """The grid's ``_ring_jet_tables``, kept on the grid for the last degree.
 
-    Returns the zonal Legendre column over the rings and, for ell >= 1,
-    sqrt(2) P_bar for orders 1..ell over the rings and the cosine and
-    sine lattices of those orders over the longitudes.  They depend only
-    on the grid and the degree, so they are kept on the grid and every
-    later field of the same degree reuses them.  Only the last degree's
-    tables are kept: a campaign cell evaluates one degree per grid, and
-    a sweep over many degrees on one large grid would otherwise hold a
-    table set per degree.
+    A campaign cell evaluates many fields of one degree per grid; keeping
+    every degree would hold a table set per degree in a sweep on one grid.
     """
     tables = grid._ring_tables.get(ell)
     if tables is None:
-        thetas, phis = grid.rings
-        p_l = _legendre_rows(ell, np.cos(thetas), depth=1)[0]
-        tables = (p_l[:, 0].copy(),)
-        if ell > 0:
-            ang = np.arange(1, ell + 1)[:, None] * phis[None, :]
-            tables += (_SQRT2 * p_l[:, 1:], np.cos(ang), np.sin(ang))
+        tables = _ring_jet_tables(ell, *grid.rings)
         grid._ring_tables = {ell: tables}
     return tables
 
@@ -354,27 +341,14 @@ def _ring_tables(grid: SphereGrid, ell: int) -> tuple[np.ndarray, ...]:
 def evaluate_grid(coeffs: CoefficientVector, grid: SphereGrid) -> np.ndarray:
     """Evaluate on a grid, using the separable ring path when available.
 
-    On an iso-latitude product grid the basis factorizes into a Legendre
-    table over rings times cosine/sine lattices over longitudes, turning
-    evaluation into two matrix products; this is what makes high-degree
-    sup-norm and excursion sweeps tractable.  The tables are cached on the
-    grid for the degree last evaluated, so evaluating many fields of one
-    degree on one grid builds them once.
+    On an iso-latitude product grid the basis factorizes into Legendre rows
+    over rings times cosine/sine lattices over longitudes, so evaluation is
+    two matrix products (``_ring_values``) on the grid's ``_ring_tables``.
     """
     _check_s2(coeffs.level)
     if grid.rings is None:
         return evaluate(coeffs, grid.points)
-    ell = coeffs.level.ell
-    n_phi = grid.rings[1].shape[0]
-    tables = _ring_tables(grid, ell)
-    a = coeffs.alpha
-    if ell == 0:
-        return np.repeat(coeffs.radius * a[0] * tables[0], n_phi)
-    zonal, scaled, cos_lat, sin_lat = tables
-    vals = np.outer(zonal * a[0], np.ones(n_phi))
-    vals += (scaled * a[1::2][None, :]) @ cos_lat
-    vals += (scaled * a[2::2][None, :]) @ sin_lat
-    return coeffs.radius * vals.ravel()
+    return _ring_values(coeffs, _ring_tables(grid, coeffs.level.ell))
 
 
 def _jet_rows(
@@ -476,7 +450,7 @@ def _frame_jet2_block(
 def _ring_jet_tables(
     ell: int, thetas: np.ndarray, phis: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Tables of the jet on an iso-latitude product grid, for ell >= 1.
+    """Tables of the jet on an iso-latitude product grid.
 
     Returns cos theta and the floored sin theta over the rings, the jet
     rows (P_bar, dP_bar/dtheta, d2P_bar/dtheta2) over the rings as one
@@ -487,7 +461,10 @@ def _ring_jet_tables(
     """
     x, s, p_l, d_l, dd_l = _jet_rows(ell, thetas)
     ang = np.arange(1, ell + 1)[:, None] * phis[None, :]
-    return x, s, np.stack([p_l, d_l, dd_l]), np.vstack([np.cos(ang), np.sin(ang)])
+    lattice = np.empty((2 * ell, phis.size))
+    np.cos(ang, out=lattice[:ell])
+    np.sin(ang, out=lattice[ell:])
+    return x, s, np.stack([p_l, d_l, dd_l]), lattice
 
 
 def _ring_jet2(
@@ -497,7 +474,7 @@ def _ring_jet2(
 
     ``tables`` come from ``_ring_jet_tables`` at the field's degree.  The
     basis factorizes into the ring jet rows times the longitude lattices,
-    so the six outputs take one matrix product, as in ``evaluate_grid``.
+    so the six outputs take one matrix product, as in ``_ring_values``.
     They are flat in the grid's ring-major point order and agree with
     ``_frame_jet2`` at the same points up to rounding, since the sums over
     orders run in a different order.
@@ -535,17 +512,20 @@ def _ring_jet2(
 def _ring_values(
     coeffs: CoefficientVector, tables: tuple[np.ndarray, ...]
 ) -> np.ndarray:
-    """The value output of ``_ring_jet2`` alone, from the same tables.
+    """The field on the product grid of ``_ring_jet_tables``, ring-major.
 
-    One matrix product of the P_bar rows, weighted by the cosine and sine
-    coefficients, with the longitude lattices; flat in ring-major order.
+    ``evaluate_grid`` and the ``sup_norm`` scan both read it.  Per point it
+    rounds as radius * ((zonal + cosine sum) + sine sum); addition commutes,
+    so the zonal column is added in place after the cosine product.
     """
     _, _, jet, lattice = tables
-    a = coeffs.alpha
-    p = jet[0]
-    rows = np.hstack([p[:, 1:] * a[1::2], p[:, 1:] * a[2::2]])
-    vals = a[0] * p[:, :1] + _SQRT2 * (rows @ lattice)
-    return (coeffs.radius * vals).ravel()
+    ell, a = coeffs.level.ell, coeffs.alpha
+    scaled = _SQRT2 * jet[0, :, 1:]
+    vals = (scaled * a[1::2]) @ lattice[:ell]
+    vals += (jet[0, :, 0] * a[0])[:, None]
+    vals += (scaled * a[2::2]) @ lattice[ell:]
+    vals *= coeffs.radius
+    return vals.ravel()
 
 
 # ---------------------------------------------------------------------------

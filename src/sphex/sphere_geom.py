@@ -37,9 +37,9 @@ class SphereGrid:
     to 1, so expectations against the normalized surface measure are plain
     weighted averages.  ``rings`` is set for iso-latitude product grids and
     holds (thetas, phis); evaluation code uses it to take the fast
-    separable path, and ``harmonics`` keeps the ring tables it builds from
-    them in ``_ring_tables``, keyed by degree, so a grid's rings must not
-    change once it has been evaluated on.
+    separable path, and ``harmonics`` keeps the last degree's ring tables
+    (``_ring_jet_tables``) in ``_ring_tables``, keyed by that degree, so a
+    grid's rings must not change once it has been evaluated on.
     """
 
     dim: int
@@ -129,6 +129,12 @@ def _iso_latitude_rings(count: int) -> tuple[np.ndarray, np.ndarray]:
     thetas = np.arccos(np.clip(cos_t, -1.0, 1.0))
     phis = 2.0 * math.pi * np.arange(n_phi, dtype=float) / n_phi
     return thetas, phis
+
+
+def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The (N, 3) unit vectors at colatitudes ``theta``, longitudes ``phi``."""
+    st = np.sin(theta)
+    return np.column_stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
 
 
 def iso_latitude_grid(count: int) -> SphereGrid:

@@ -37,6 +37,7 @@ __all__ = [
     "epc_variance_leading",
     "evaluate_bound",
     "excursion_mean_limit",
+    "gkf_epc_exact",
     "gkf_epc_expectation",
     "REGISTRY",
     "kolmogorov_measure_bound",
@@ -127,12 +128,28 @@ def gkf_epc_expectation(ell: int, u: float) -> float:
     Note the ell^2-normalized large-ell limit of the second term differs
     from the Morse-identity limit u phi(u) (see ``epc_limit``) by a
     constant factor; rate experiments compare against ``epc_limit`` and
-    report this value alongside, never blended.
+    report this value alongside, never blended.  The measurements do not
+    match it: the Morse-count mean over 600 fields at ell = 4, u = 1 is
+    5.150 +- 0.05, where this form gives 1.283 (``gkf_epc_exact`` 5.157).
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     g = gaussian(u)
     return 2.0 * g.tail + _SQRT_2_OVER_PI * (ell * (ell + 1.0) / 2.0) * (u * g.pdf / 2.0)
+
+
+def gkf_epc_exact(ell: int, u: float) -> float:
+    """Expected excursion EPC on S^2 of a unit-variance degree-ell field.
+
+    The Gaussian kinematic formula (Adler & Taylor 2007), exact at every ell
+    with L_0 = 2, L_2 = 4 pi, lambda_2 = P_ell'(1) = ell (ell + 1) / 2.  The
+    measurements match this form: Morse-count means over 600 fields at
+    ell = 4, u = -1, 0, 1, 2 are within 0.8 standard errors of it.
+    """
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    g = gaussian(u)
+    return 2.0 * g.tail + ell * (ell + 1.0) * u * g.pdf
 
 
 def epc_limit(u: float) -> float:
@@ -326,6 +343,7 @@ def density_ratio_bound(
 REGISTRY: dict[str, tuple[Callable, str]] = {
     "badset": (bad_set_bound, "Chebyshev bound for regular excursion functionals"),
     "gkf-epc": (gkf_epc_expectation, "Gaussian kinematic formula, sphere"),
+    "gkf-epc-exact": (gkf_epc_exact, "Gaussian kinematic formula, finite ell"),
     "epc-limit": (epc_limit, "Morse identity for excursion Euler characteristics"),
     "excursion-mean": (excursion_mean_limit, "Gaussian one-point marginal"),
     "epc-var": (epc_variance_leading, "EPC variance leading term"),

@@ -155,6 +155,7 @@ class TestScalarCommands:
 THEORY_PINS = [
     ("badset", "epsilon=0.1,n=100,sigma_sq=0.01,c=1", "8.00000000000"),
     ("gkf-epc", "ell=8,u=0.5", "3.14524247503"),
+    ("gkf-epc-exact", "ell=8,u=0.5", "13.2914268410"),
     ("epc-limit", "u=0.7", "0.218577753357"),
     ("excursion-mean", "u=-0.3", "0.617911422189"),
     ("epc-var", "ell=12,u=1.1", "24.0736734828"),
@@ -174,8 +175,9 @@ THEORY_PINS = [
 
 KNOWN_BOUNDS = (
     "['badset', 'borel-tis', 'cramer', 'critical-limit', 'density-ratio', "
-    "'epc-limit', 'epc-var', 'excursion-mean', 'gkf-epc', 'kol-bound', "
-    "'kol-rate', 'ldp', 'mills', 'sogge', 'supnorm-lower', 'supnorm-tail']"
+    "'epc-limit', 'epc-var', 'excursion-mean', 'gkf-epc', 'gkf-epc-exact', "
+    "'kol-bound', 'kol-rate', 'ldp', 'mills', 'sogge', 'supnorm-lower', "
+    "'supnorm-tail']"
 )
 
 

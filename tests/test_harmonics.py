@@ -37,6 +37,8 @@ from sphex.harmonics import (
     _frame_jet2,
     _legendre_rows,
     _longitude_waves,
+    _ring_jet_tables,
+    _ring_values,
 )
 from sphex.specfun import HarmonicLevel, gegenbauer
 from sphex.sphere_geom import icosphere, iso_latitude_grid
@@ -214,6 +216,15 @@ class TestEvaluate:
             fast = evaluate_grid(cv, grid)
             slow = np.asarray(evaluate(cv, grid.points))
             assert np.allclose(fast, slow, atol=1e-11 * cv.radius)
+
+    @pytest.mark.parametrize("ell", [0, 1, 3, 24])
+    def test_ring_values_equal_grid_evaluation(self, ell):
+        # the sup-norm scan and grid evaluation run one arithmetic: tables
+        # built on a grid's rings give its evaluate_grid values bit for bit
+        cv = sample_gaussian(HarmonicLevel(ell, 2), stream(4, ell, "ringvalues"))
+        grid = iso_latitude_grid(max(20 * ell * ell, 4))
+        tables = _ring_jet_tables(ell, *grid.rings)
+        assert np.array_equal(_ring_values(cv, tables), evaluate_grid(cv, grid))
 
     def test_grid_tables_reused_across_fields(self):
         # one grid serves fields of interleaved degrees, including the

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
-from sphex.specfun import CriticalKind, critical_tail, gaussian
+from sphex.excursion import euler_characteristic_morse, find_critical_points
+from sphex.harmonics import sample_gaussian, stream
+from sphex.specfun import CriticalKind, HarmonicLevel, critical_tail, gaussian
 from sphex.theory import (
     REGISTRY,
     BoundReport,
@@ -28,6 +30,7 @@ from sphex.theory import (
     epc_variance_leading,
     evaluate_bound,
     excursion_mean_limit,
+    gkf_epc_exact,
     gkf_epc_expectation,
     kolmogorov_measure_bound,
     kolmogorov_rate_exponents,
@@ -103,6 +106,30 @@ class TestEpcFormulas:
     def test_gkf_domain(self):
         with pytest.raises(ValueError):
             gkf_epc_expectation(0, 1.0)
+
+    def test_gkf_exact_hand_value(self):
+        # 2(1-Phi(1)) + 16*17 * phi(1)
+        want = 2 * norm.sf(1.0) + 272.0 * norm.pdf(1.0)
+        assert gkf_epc_exact(16, 1.0) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(ValueError):
+            gkf_epc_exact(0, 1.0)
+
+    def test_gkf_exact_matches_morse_means(self):
+        # the Morse-count EPC of Gaussian fields at ell = 4 averages to the
+        # exact kinematic formula within 4 standard errors at each level;
+        # the literal transcription misses by more than 20 at u = +-1
+        fields, levels = 300, (-1.0, 0.0, 1.0, 2.0)
+        chis = np.array([
+            [euler_characteristic_morse(cps, u) for u in levels]
+            for cps in (find_critical_points(sample_gaussian(
+                HarmonicLevel(4, 2), stream(77, r, "gkf"))) for r in range(fields))
+        ], dtype=float)
+        mean = chis.mean(axis=0)
+        se = chis.std(axis=0, ddof=1) / math.sqrt(fields)
+        exact = np.array([gkf_epc_exact(4, u) for u in levels])
+        literal = np.array([gkf_epc_expectation(4, u) for u in levels])
+        assert np.all(np.abs(mean - exact) <= 4.0 * se)
+        assert np.all(np.abs(mean - literal)[[0, 2]] > 20.0 * se[[0, 2]])
 
     def test_epc_limit_is_u_phi(self):
         for u in np.linspace(-4, 4, 33):
@@ -349,6 +376,7 @@ class TestRegistryAndReports:
         assert {name: set(v) for name, v in found.items() if v} == {
             "badset": {"n"},
             "gkf-epc": {"ell"},
+            "gkf-epc-exact": {"ell"},
             "epc-var": {"ell"},
             "kol-bound": {"n"},
             "kol-rate": {"ell", "dim"},

@@ -405,10 +405,11 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
     last: Optional[CriticalPointSet] = None
     for attempt in range(_ROTATION_ATTEMPTS):
         # search the pulled-back field f(rot .) so the field's own critical
-        # points sit at generic chart locations: the Legendre-derivative
-        # recurrences degrade right at the chart poles, and a fresh rotation
-        # per attempt actually moves the field away from them (zonal fields
-        # place critical points exactly on the poles otherwise)
+        # points sit at generic chart locations: the theta-jet rows hold at
+        # the chart poles, but the frame's 1/sin theta does not, and Newton
+        # in this chart cannot converge there; a fresh rotation per attempt
+        # actually moves the field away from them (zonal fields place
+        # critical points exactly on the poles otherwise)
         rot = _sample_rotation(coeffs, attempt)
         work = harmonics._rotated_coefficients(coeffs, rot)
         seed_jet = harmonics._ring_jet2(work, tables)

@@ -197,9 +197,9 @@ def _legendre_rows(ell: int, x: np.ndarray, depth: int) -> list[np.ndarray]:
     operation.  Each element sees the same floating-point operations in
     the same order as the degree-major (N, ell+1) form, so the values are
     bit-identical to it.  The rows come back as C-contiguous (N, ell+1)
-    copies because callers reduce them with ``.sum(axis=1)``, whose
-    pairwise summation order follows the memory layout; handing back the
-    transposed views would change the last bits of every such sum.
+    copies.  The one caller is ``_theta_fourier``, which samples the top
+    degree once per degree: every Legendre value of the basis comes from
+    that table, so this recurrence is its only Legendre source.
     """
     x = np.asarray(x, dtype=float)
     n_pts = x.shape[0]
@@ -245,14 +245,15 @@ def _basis_matrix(ell: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     CSV): slot 1 is the zonal function, slot 2m the cosine harmonic of
     order m, slot 2m+1 the sine harmonic of order m.
 
-    The Legendre rows are computed once per distinct colatitude and the
-    cosine/sine tables once per distinct longitude, then gathered back per
-    point.  Every element sees the arithmetic it would per point, so the
-    matrix is bit-identical to the per-point one; mesh vertices and
-    quadrature nodes repeat their colatitudes many times over.
+    The Legendre rows (the P_bar columns of ``_jet_rows``) are computed
+    once per distinct colatitude and the cosine/sine tables once per
+    distinct longitude, then gathered back per point.  Every element sees
+    the arithmetic it would per point, so the matrix is bit-identical to
+    the per-point one; mesh vertices and quadrature nodes repeat their
+    colatitudes many times over.
     """
     u_theta, at_theta = np.unique(theta, return_inverse=True)
-    p_l = _legendre_rows(ell, np.cos(u_theta), depth=1)[0][at_theta]
+    p_l = _jet_rows(ell, u_theta, depth=1)[0][at_theta]
     n_pts = theta.shape[0]
     basis = np.empty((n_pts, 2 * ell + 1))
     basis[:, 0] = p_l[:, 0]
@@ -351,42 +352,79 @@ def evaluate_grid(coeffs: CoefficientVector, grid: SphereGrid) -> np.ndarray:
     return _ring_values(coeffs, _ring_tables(grid, coeffs.level.ell))
 
 
-def _jet_rows(
-    ell: int, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Legendre rows of degree ell and their first two theta-derivatives.
+@functools.lru_cache(maxsize=1)
+def _theta_fourier(ell: int) -> np.ndarray:
+    """Fourier table in theta of the degree-ell Legendre rows, last degree only.
 
-    Returns (x, s, P_bar, dP_bar/dtheta, d2P_bar/dtheta2) with x = cos
-    theta, s = sin theta floored at 1e-12, and the three (N, ell+1) rows
-    for ell >= 1.  The second derivative comes from differentiating the
-    first-derivative recurrence once more, which pulls in the degree
-    ell-2 row.  This is the one place the basis is differentiated:
-    ``_frame_jet2`` and the ring path ``_ring_jet2`` both read it.
+    P_bar_{ell,m}(cos theta) is sin^m theta times a polynomial in cos theta
+    of degree ell - m, so as a function of theta it is a trigonometric
+    polynomial of degree ell: a cosine series for even m, a sine series for
+    odd m.  The rfft of 2 ell + 2 equispaced samples over a full turn gives
+    the coefficients to rounding.  The recurrence runs once per distinct
+    cos theta, at the ell + 2 samples in [0, pi]; the samples at 2 pi -
+    theta repeat them with the odd orders flipped, since
+    ``_legendre_rows`` takes sin theta as sqrt(1 - x^2) >= 0.  Returns a read-only (2 ell + 1, 3, ell + 1) array: row 0 is
+    the constant term, rows 1..ell multiply cos k theta and rows
+    ell+1..2 ell multiply sin k theta (k = 1..ell, the layout of
+    ``_trig_rows``); the three column blocks give P_bar, dP_bar/dtheta and
+    d2P_bar/dtheta2, each order m a column.  One degree is kept, since a
+    caller evaluates many points or fields of one degree.
     """
-    x = np.cos(theta)
-    s = np.maximum(np.sin(theta), 1e-12)
-    p_l, p_lm1, p_lm2 = _legendre_rows(ell, x, depth=3)
-    orders = np.arange(ell + 1, dtype=float)
-    e1 = np.sqrt(
-        (2.0 * ell + 1.0) * np.clip(ell * ell - orders**2, 0.0, None)
-        / (2.0 * ell - 1.0)
-    )
-    if ell >= 2:
-        e2 = np.sqrt(
-            (2.0 * ell - 1.0)
-            * np.clip((ell - 1.0) ** 2 - orders**2, 0.0, None)
-            / (2.0 * ell - 3.0)
-        )
-    else:
-        e2 = np.zeros(ell + 1)
-    s_col = s[:, None]
-    x_col = x[:, None]
-    d_l = (ell * x_col * p_l - e1[None, :] * p_lm1) / s_col
-    d_lm1 = ((ell - 1.0) * x_col * p_lm1 - e2[None, :] * p_lm2) / s_col
-    dd_l = (
-        -ell * s_col * p_l + ell * x_col * d_l - e1[None, :] * d_lm1
-    ) / s_col - (x_col / s_col) * d_l
-    return x, s, p_l, d_l, dd_l
+    upper = _legendre_rows(ell, np.cos(np.arange(ell + 2) * (math.pi / (ell + 1))),
+                           depth=1)[0]
+    lower = upper[ell:0:-1].copy()
+    lower[:, 1::2] *= -1.0
+    spec = np.fft.rfft(np.vstack([upper, lower]), axis=0)[: ell + 1] / (2 * ell + 2)
+    cos_k, sin_k = 2.0 * spec.real[1:], -2.0 * spec.imag[1:]
+    k = np.arange(1, ell + 1, dtype=float)[:, None]
+    table = np.zeros((2 * ell + 1, 3, ell + 1))
+    table[0, 0] = spec.real[0]
+    table[1 : ell + 1] = np.stack([cos_k, k * sin_k, -k * k * cos_k], axis=1)
+    table[ell + 1 :] = np.stack([sin_k, -k * cos_k, -k * k * sin_k], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _longitude_waves(phi: np.ndarray, ell: int) -> np.ndarray:
+    """exp(i m phi) for m = 1..ell, shape (N, ell), by angle addition.
+
+    Each order is the running product of exp(i phi), so a point costs two
+    libm calls instead of 2 ell; the rounding error against cos and sin of
+    the rounded m phi grows like m, within m eps (1 + |phi|).  The jet
+    takes it at the longitudes and, through ``_trig_rows``, at the
+    colatitudes.
+    """
+    step = np.exp(1j * phi)[:, None]
+    return np.cumprod(np.broadcast_to(step, (phi.size, ell)), axis=1)
+
+
+def _trig_rows(theta: np.ndarray, ell: int) -> np.ndarray:
+    """(1, cos k theta, sin k theta) for k = 1..ell, shape (N, 2 ell + 1).
+
+    The rows ``_theta_fourier``'s table multiplies, by angle addition
+    (``_longitude_waves``).
+    """
+    waves = _longitude_waves(theta, ell)
+    return np.hstack([np.ones((theta.size, 1)), waves.real, waves.imag])
+
+
+def _jet_rows(ell: int, theta: np.ndarray, depth: int) -> np.ndarray:
+    """Legendre rows of degree ell and their theta-derivatives, per point.
+
+    Returns a (depth, N, ell+1) view: P_bar, then dP_bar/dtheta, then
+    d2P_bar/dtheta2, the first ``depth`` of them.  Each is the trig rows
+    (``_trig_rows``) times the columns of ``_theta_fourier`` the caller
+    needs, with no division by sin theta, so the rows stay accurate at the
+    poles.  The product is stacked, one (1, 2 ell + 1) by (2 ell + 1,
+    depth (ell+1)) BLAS call per point: a plain 2-D product lets BLAS pick
+    its kernel by the batch's shape, so a point's bits would depend on the
+    batch it came in.  This is the one place the basis is differentiated:
+    ``_frame_jet2`` reads it, and the ring path ``_ring_jet2`` reads the
+    same table through ``_ring_jet_tables``.
+    """
+    table = _theta_fourier(ell)[:, :depth].reshape(2 * ell + 1, -1)
+    rows = np.matmul(_trig_rows(theta, ell)[:, None, :], table)
+    return rows.reshape(theta.size, depth, ell + 1).transpose(1, 0, 2)
 
 
 def _frame_jet2(
@@ -395,9 +433,12 @@ def _frame_jet2(
     """Value, frame gradient and covariant frame Hessian, all analytic.
 
     Returns (value, g_theta, g_phi, h_tt, h_tp, h_pp) as flat arrays.  The
-    points are worked through in blocks of ``_JET_BLOCK``, which keeps the
-    Legendre buffers in cache; every point's arithmetic is independent of
-    the others, so the result does not depend on the blocks.
+    theta-jet rows come from ``_jet_rows``; the frame's 1/sin theta factors
+    in g_phi, h_tp and h_pp are the only divisions, floored at sin theta =
+    1e-12.  The points are worked through in blocks of ``_JET_BLOCK``,
+    which keeps the row buffers in cache; every point's arithmetic is
+    independent of the others, so the result does not depend on the
+    blocks.
     """
     if theta.shape[0] <= _JET_BLOCK:
         return _frame_jet2_block(coeffs, theta, phi)
@@ -408,27 +449,15 @@ def _frame_jet2(
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _longitude_waves(phi: np.ndarray, ell: int) -> np.ndarray:
-    """exp(i m phi) for m = 1..ell, shape (N, ell), by angle addition.
-
-    Each order is the running product of exp(i phi), so a point costs two
-    libm calls instead of 2 ell; the rounding error against cos and sin of
-    the rounded m phi grows like m, within m eps (1 + |phi|).
-    """
-    step = np.exp(1j * phi)[:, None]
-    return np.cumprod(np.broadcast_to(step, (phi.size, ell)), axis=1)
-
-
 def _frame_jet2_block(
     coeffs: CoefficientVector, theta: np.ndarray, phi: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     ell = coeffs.level.ell
     r = coeffs.radius
     a = coeffs.alpha
-    if ell == 0:
-        zero = np.zeros_like(theta)
-        return np.full_like(theta, r * a[0]), zero, zero, zero, zero, zero
-    x, s, p_l, d_l, dd_l = _jet_rows(ell, theta)
+    x = np.cos(theta)
+    s = np.maximum(np.sin(theta), 1e-12)
+    p_l, d_l, dd_l = _jet_rows(ell, theta, depth=3)
     orders = np.arange(ell + 1, dtype=float)
     waves = _longitude_waves(phi, ell)
     cos_a, sin_a = waves.real, waves.imag
@@ -456,15 +485,21 @@ def _ring_jet_tables(
     rows (P_bar, dP_bar/dtheta, d2P_bar/dtheta2) over the rings as one
     (3, n_theta, ell+1) array, and the cosine lattices of orders 1..ell
     over the longitudes stacked on the sine lattices, shape (2 ell, n_phi).
-    They depend only on the degree and the rings, so a caller that
-    evaluates many fields of one degree on one grid builds them once.
+    The jet rows are the trig rows times ``_theta_fourier``'s table, as in
+    ``_jet_rows``, but by one plain matrix product: the ring path need only
+    agree with ``_frame_jet2`` to rounding.  The tables depend only on the
+    degree and the rings, so a caller that evaluates many fields of one
+    degree on one grid builds them once.
     """
-    x, s, p_l, d_l, dd_l = _jet_rows(ell, thetas)
+    x = np.cos(thetas)
+    s = np.maximum(np.sin(thetas), 1e-12)
+    rows = _trig_rows(thetas, ell) @ _theta_fourier(ell).reshape(2 * ell + 1, -1)
+    jet = rows.reshape(-1, 3, ell + 1).transpose(1, 0, 2)
     ang = np.arange(1, ell + 1)[:, None] * phis[None, :]
     lattice = np.empty((2 * ell, phis.size))
     np.cos(ang, out=lattice[:ell])
     np.sin(ang, out=lattice[ell:])
-    return x, s, np.stack([p_l, d_l, dd_l]), lattice
+    return x, s, jet, lattice
 
 
 def _ring_jet2(

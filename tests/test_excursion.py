@@ -12,6 +12,9 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -911,9 +914,9 @@ class TestExportCsv:
     # included), which do not depend on how the positions are normalized;
     # the ids leave the digests out, so regenerating one keeps the test's name
     @pytest.mark.parametrize("ell, rows, digest", [
-        (3, 14, "c353832e37a9c37500f07fe3d35458b5110fb4d15bd2b2175661f297f221fc51"),
-        (8, 82, "97ca1e13f38db75f32648af938293f47de5941ae00654384a97c4807c1a7dbeb"),
-        (16, 322, "9827a02fd0673d07bd071043a3ffd41112ed3895daf1d9db4d6500613e1ed206"),
+        (3, 14, "d6cbc2ed630e7fd9822231f5e4a386823a1cebcafb2bb68b880acc88b37bca58"),
+        (8, 82, "761c8d4f5a22885655a9a83156c11af3c55064a70ba8c152bc69575ff03dd9b2"),
+        (16, 322, "7a603da2f37e266bcd110aa32fd1d6f6dcdec2d3fc16bb459576aed1fa102ed5"),
     ], ids=["ell3", "ell8", "ell16"])
     def test_columns_pinned(self, ell, rows, digest):
         cv = sample_gaussian(HarmonicLevel(ell, 2), stream(26, ell, "export"))
@@ -923,3 +926,48 @@ class TestExportCsv:
         assert len(table) == 1 + rows
         text = "\n".join(",".join(r[3:]) for r in table)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Prints one digest of pointwise jets (two blocks at ell=24, per-point BLAS
+# calls at ell=256), one sup norm and one critical set.
+_THREAD_DIGEST = """
+import hashlib, math
+import numpy as np
+from sphex import excursion, harmonics
+from sphex.specfun import HarmonicLevel
+
+def field(ell):
+    return harmonics.sample_gaussian(HarmonicLevel(ell, 2),
+                                     harmonics.stream(28, ell, "threads"))
+
+h = hashlib.sha256()
+rng = np.random.default_rng(28)
+for ell, n in ((24, 3000), (256, 200)):
+    theta = np.arccos(rng.uniform(-1.0, 1.0, n))
+    phi = rng.uniform(-math.pi, math.pi, n)
+    for q in harmonics._frame_jet2(field(ell), theta, phi):
+        h.update(q.tobytes())
+value, point = excursion.sup_norm(field(64))
+h.update(np.append(point, value).tobytes())
+cps = excursion.find_critical_points(field(16))
+for q in (cps.points, cps.values, cps.eigs, cps.index):
+    h.update(q.tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_one_and_two_threads_give_the_same_bits(self):
+        # the jet rows are BLAS products, and the campaigns promise the same
+        # bytes with 1 or 2 BLAS threads
+        package_root = os.path.dirname(os.path.dirname(harmonics.__file__))
+        digests = set()
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+            child = subprocess.run([sys.executable, "-c", _THREAD_DIGEST],
+                                   capture_output=True, text=True, env=env)
+            assert child.returncode == 0, child.stderr
+            digests.add(child.stdout)
+        assert len(digests) == 1

@@ -35,6 +35,7 @@ from sphex.harmonics import (
     _angles_of,
     _basis_matrix,
     _frame_jet2,
+    _jet_rows,
     _legendre_rows,
     _longitude_waves,
     _ring_jet_tables,
@@ -425,9 +426,41 @@ class TestLegendreKernel:
                 assert np.array_equal(w[i : i + 1], one)
 
 
+class TestJetRows:
+    # colatitudes near both chart poles, where sqrt(1 - x^2) and a division
+    # by sin theta would lose digits, plus generic ones
+    PROBE = np.concatenate([
+        [1e-3, 0.05, 0.3, 0.4, 1.0, math.pi / 2, 2.2, 3.1, math.pi - 1e-3],
+        np.random.default_rng(28).uniform(0.0, math.pi, 200),
+    ])
+
+    def test_degree_one_closed_forms(self):
+        # P_bar_{1,0} = sqrt(3) cos t and P_bar_{1,1} = sqrt(3/2) sin t; the
+        # rows hold to a few ulps at every colatitude (the derivative
+        # recurrence with its 1/sin t was off by 2.3e-11 at t = 1e-3)
+        theta = np.array([1e-3, 0.3, math.pi / 2, math.pi - 1e-3])
+        c, s = math.sqrt(3.0) * np.cos(theta), math.sqrt(1.5) * np.sin(theta)
+        want = ([c, s], [-math.sqrt(3.0) * np.sin(theta), math.sqrt(1.5) * np.cos(theta)],
+                [-c, -s])
+        for got, w in zip(_jet_rows(1, theta, depth=3), want):
+            assert np.max(np.abs(got - np.column_stack(w))) <= 1e-15
+
+    @pytest.mark.parametrize("ell", [1, 2, 24, 256])
+    def test_addition_theorem_derivative(self, ell):
+        # sum_m (2 - delta_m0) P_bar_m^2 = 2 ell + 1 at every theta, so the
+        # theta-derivative sum_m (2 - delta_m0) P_bar_m dP_bar_m vanishes;
+        # measured at most 3.4 ell eps relative to ell (2 ell + 1), against
+        # 24-500 ell eps for the derivative recurrence
+        p, d = _jet_rows(ell, self.PROBE, depth=2)
+        w = np.full(ell + 1, 2.0)
+        w[0] = 1.0
+        residual = np.abs((p * d) @ w) / (ell * (2 * ell + 1))
+        assert residual.max() <= 10 * ell * np.finfo(float).eps
+
+
 def basis_matrix_per_point(ell: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The basis with Legendre rows and longitude tables at every point."""
-    p_l = _legendre_rows(ell, np.cos(theta), depth=1)[0]
+    p_l = _jet_rows(ell, theta, depth=1)[0]
     basis = np.empty((theta.shape[0], 2 * ell + 1))
     basis[:, 0] = p_l[:, 0]
     if ell > 0:

@@ -793,19 +793,19 @@ class TestGridGolden:
             "3631eba932c182a2473d50a2f7a04d377f655c27c9bca54635c34d9a85686e29"
         ),
         "kol_decay.csv": (
-            "77e7420999cb16855ae89882df4185153ec210f5d7bbd94f1ee08c1ef1269181"
+            "648fa997acacfd1ce7209eb64944afa288e0ea8bb011b01c58da9188a69d758a"
         ),
         "kol_decay.json": (
-            "57d9efb8423ad5c5858cec281bde28cbecb28327759c07ee34dc3759dd4405a0"
+            "f902b61440d6f7e0acd4460d9763fc43d83fcfcf764a783996caffc94aea57a7"
         ),
         "kol_decay_rates.csv": (
-            "9d070cd25f3f28f2af13ab4de59f45184dec1b38a9d15fefcd0064b44f9cccc2"
+            "25b9a15546280adc888c306c6b44094843851ee07060016e7ddffd87fe2a83de"
         ),
         "supnorm.csv": (
-            "ec64104d4ab57a158915639ad4837940edb8c14ba1ce3791a642d60c648eca2a"
+            "f5b34a4d04012c224b9ff334f7014aa4b6081d0f630dd8e74666580f56e5d262"
         ),
         "supnorm.json": (
-            "9e50e1552fcac789e50db4b780cc70ad4f7348cd662c8f160e7e1271bf955a19"
+            "c95ed27b11aeae06ea2933dd783149e3b52ad90f4d3ee62502fe39961d5b8eea"
         ),
     }
 

@@ -449,7 +449,7 @@ class TestJetRows:
     def test_addition_theorem_derivative(self, ell):
         # sum_m (2 - delta_m0) P_bar_m^2 = 2 ell + 1 at every theta, so the
         # theta-derivative sum_m (2 - delta_m0) P_bar_m dP_bar_m vanishes;
-        # measured at most 3.4 ell eps relative to ell (2 ell + 1), against
+        # measured at most 2.6 ell eps relative to ell (2 ell + 1), against
         # 24-500 ell eps for the derivative recurrence
         p, d = _jet_rows(ell, self.PROBE, depth=2)
         w = np.full(ell + 1, 2.0)

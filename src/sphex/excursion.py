@@ -11,8 +11,9 @@ follows by Morse counting, with an independent combinatorial route
 through triangulated meshes.  A critical set is held as columns
 (``CriticalPointSet``: positions, values, residuals, Hessian eigenvalues
 and Morse index), so every count over it is one array expression.  The
-sup norm runs on the same parts: it scans the search's seed rings and
-polishes the best seeds with the same batched Newton.
+sup norm runs on the same parts: it scans the search's seed lattice,
+uniform in theta and phi, and polishes the best seeds with the same
+batched Newton.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from scipy.spatial import cKDTree
 from . import harmonics
 from .harmonics import CoefficientVector, FieldSample, GeometryError, evaluate
 from .specfun import CriticalKind, _normal_cdf
-from .sphere_geom import SphereMesh, _iso_latitude_rings, _unit_vectors
+from .sphere_geom import SphereMesh, _unit_vectors
 
 __all__ = [
     "CriticalPointSet",
@@ -184,22 +185,20 @@ class CriticalPointSet:
         return {k.value: int(n) for k, n in zip(_MORSE_KINDS, per_index)}
 
 
-# critical-point search: seed cells per ell^2, dedupe radius times ell,
-# Newton iteration cap, and rotations tried before a set is flagged
-_SEED_CELLS_PER_ELL2 = 40
+# critical-point search: seed lattice spacing times ell, dedupe radius
+# times ell, Newton iteration cap, and rotations tried before a set is
+# flagged
+_SEED_STEP_ELL = 0.7
 _DEDUPE_RADIUS_ELL = 0.02
 _NEWTON_MAX_ITER = 40
 _ROTATION_ATTEMPTS = 3
-# spacing times ell of the cap rings seeded inside the grid's second ring
-_CAP_RING_STEP = 0.5
 # sup_norm polishes the seeds whose |f| is within this fraction of the scan
 # maximum.  Along a great circle a degree-ell field is a trigonometric
 # polynomial of degree <= ell, so Bernstein's inequality gives |f| >=
 # M (1 - (ell delta)^2 / 2) within distance delta of a maximizer of |f| = M.
-# The seeds and antipodes cover within ell delta = 0.51-0.52 at |z| < 0.9
-# (bound >= 0.86) and 0.41-0.49 at |z| > 0.99; at 0.9 <= |z| < 0.99 ell
-# delta is 0.69, 0.84, 1.35 at ell = 16, 24, 64 (bound 0.76, 0.65, 0.08),
-# so 0.86 is unjustified there (ROADMAP, "One theta-uniform seed lattice")
+# The seeds and their antipodes cover the sphere within the lattice's
+# half-diagonal, ell delta = (sqrt(2)/2) pi ell / n <= (sqrt(2)/2) 0.7 <=
+# 0.495 (``_seed_rings``), so the bound is >= 0.877 at every point
 _SUP_SEED_FRACTION = 0.86
 
 
@@ -229,28 +228,24 @@ def _seed_rings(ell: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...
 
     Returns (thetas, phis) and the tables; the seeds are their product in
     ring-major order, seed k at (thetas[k // n_phi], phis[k % n_phi]).
-    The rings are the upper half of an iso-latitude grid of at least
-    40 ell^2 cells: its rings with theta <= pi/2 (the equator ring
-    included when the ring count is odd), at the exact ring coordinates.
-    The grid's rings are far apart in theta near the chart pole (the
-    first two sit near 3.3/ell and 5.7/ell at ell=24), which left the
-    cap's critical points unseeded; cap rings at k * 0.5/ell inside the
-    second ring, skipping any within 0.25/ell of a grid ring, fill it.
-    They share the grid's longitudes, and all rings are sorted by theta.
-    A degree-ell field has parity (-1)^ell, so ``find_critical_points``
-    reflects the roots these seeds reach instead of seeding the lower
-    half.  The tables let the first Newton iteration synthesize the jet
-    at every seed by matrix products (``harmonics._ring_jet2``), and
-    ``sup_norm`` scan the values (``harmonics._ring_values``).  One
-    degree is kept, since a campaign cell searches many fields of one
-    degree.
+    They are the upper half of a lattice uniform in theta and phi: with
+    n = ceil(pi ell / 0.7) and h = pi / n, the rings sit at theta_j =
+    (j + 1/2) h for j < ceil(n / 2) (the equator ring included when n is
+    odd) and the longitudes at phi_k = k h for k < 2 n.  A lattice cell
+    is at most h by h in (theta, phi), and sin theta <= 1, so with their
+    antipodes the seeds cover the sphere within the half-diagonal
+    (sqrt(2)/2) h <= 0.495/ell, pole and equator alike.  A degree-ell
+    field has parity (-1)^ell, so ``find_critical_points`` reflects the
+    roots these seeds reach instead of seeding the lower half.  The
+    tables let the first Newton iteration synthesize the jet at every
+    seed by matrix products (``harmonics._ring_jet2``), and ``sup_norm``
+    scan the values (``harmonics._ring_values``).  One degree is kept,
+    since a campaign cell searches many fields of one degree.
     """
-    thetas, phis = _iso_latitude_rings(_SEED_CELLS_PER_ELL2 * ell * ell)
-    thetas = thetas[: (thetas.size + 1) // 2]
-    step = _CAP_RING_STEP / ell
-    cap = np.arange(1, math.ceil(thetas[1] / step)) * step
-    clear = np.abs(cap[:, None] - thetas).min(axis=1) >= 0.5 * step
-    thetas = np.sort(np.concatenate([cap[clear], thetas]))
+    n = math.ceil(math.pi * ell / _SEED_STEP_ELL)
+    h = math.pi / n
+    thetas = (np.arange((n + 1) // 2) + 0.5) * h
+    phis = np.arange(2 * n) * h
     tables = harmonics._ring_jet_tables(ell, thetas, phis)
     for arr in (thetas, phis, *tables):
         arr.flags.writeable = False
@@ -363,13 +358,13 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
     """Locate and classify all critical points of an explicit field on S^2.
 
     Seeds a Newton search for zeros of the gradient from the upper half of
-    an iso-latitude grid of at least 40 ell^2 cells (its rings with
-    theta <= pi/2) and from rings 0.5/ell apart in the polar cap inside
-    its second ring (``_seed_rings``).  A degree-ell field satisfies
-    f(-x) = (-1)^ell f(x), so its critical set is antipodally symmetric,
-    and Newton commutes with the antipodal map: each converged root
-    (theta, phi) is reflected to (pi - theta, phi + pi), which finds what
-    seeds on both hemispheres would find at half the Newton work.  The search runs on the field
+    a lattice at most 0.7/ell apart in theta and phi, whose seeds and
+    antipodes cover the sphere within 0.495/ell (``_seed_rings``).  A
+    degree-ell field satisfies f(-x) = (-1)^ell f(x), so its critical set
+    is antipodally symmetric, and Newton commutes with the antipodal map:
+    each converged root (theta, phi) is reflected to (pi - theta,
+    phi + pi), which finds what seeds on both hemispheres would find at
+    half the Newton work.  The search runs on the field
     pulled back by a random rotation drawn deterministically from the
     coefficients, so results never depend on where the field happens to
     sit relative to the chart poles and rescaled coefficients retrace the
@@ -511,11 +506,14 @@ def euler_characteristic_mesh(
 def sup_norm(coeffs: CoefficientVector) -> tuple[float, np.ndarray]:
     """Sup norm of the field and a point attaining it, as a (3,) unit array.
 
-    Scans the seed rings of the critical-point search (``_seed_rings``);
-    since |f(-x)| = |f(x)| their upper hemisphere is enough.  The seeds
-    whose |f| is within 0.86 of the scan maximum, taken in descending
-    order and merged first-wins within 1/ell, start one batched Newton
-    search for critical points (``_newton_roots``).  The result is the
+    Scans the seed lattice of the critical-point search (``_seed_rings``);
+    since |f(-x)| = |f(x)| its upper hemisphere is enough.  Every point
+    lies within 0.495/ell of a seed or its antipode, so by Bernstein's
+    inequality the seed nearest a maximizer of |f| has |f| >= 0.877 times
+    the sup norm, hence within 0.86 of the scan maximum.  The seeds
+    within that fraction, taken in descending order and merged
+    first-wins within 1/ell, start one batched Newton search for
+    critical points (``_newton_roots``).  The result is the
     largest |f| among the best seed, the roots and the two poles, which
     are evaluated directly since no Newton iteration in this chart
     converges at its own poles; a constant field (ell = 0) is answered

@@ -157,13 +157,29 @@ def sample_gaussian(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _legendre_coefficients(ell: int) -> tuple[tuple, ...]:
-    """Recurrence coefficients (a, b, sqrt(2n+1), sqrt((2n+1)/2n)), n = 2..ell.
+def _legendre_rows(ell: int, x: np.ndarray) -> np.ndarray:
+    """Fully normalized associated Legendre values of degree ell, (N, ell+1).
 
-    ``a`` and ``b`` are columns over the orders m < n - 1.
+    Column m holds P_bar_{ell,m}(x), with sin theta taken as
+    sqrt(1 - x^2) >= 0.  The normalization satisfies integral of P_bar^2
+    over [-1, 1] equal to 2, so the zonal basis function is exactly
+    P_bar_{ell,0}.  Each pass of the three-term recurrence advances all
+    orders of one degree at once, so the interpreter runs O(ell) passes.
+    The one caller is ``_theta_fourier``, which samples the degree once:
+    every Legendre value of the basis comes from that table.
     """
-    coeffs = []
+    x = np.asarray(x, dtype=float)
+    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    prev = np.zeros((x.shape[0], ell + 1))
+    prev[:, 0] = 1.0
+    if ell == 0:
+        return prev
+    cur = np.zeros_like(prev)
+    cur[:, 0] = math.sqrt(3.0) * x
+    cur[:, 1] = math.sqrt(1.5) * sx
+    # the recycled buffer holds degree n - 3 (zero above column n - 3), and
+    # a pass overwrites columns 0..n, so the columns above n stay zero
+    nxt = np.zeros_like(prev)
     for n in range(2, ell + 1):
         nn = float(n)
         m = np.arange(0, n - 1, dtype=float)
@@ -172,62 +188,11 @@ def _legendre_coefficients(ell: int) -> tuple[tuple, ...]:
             ((2.0 * nn + 1.0) * ((nn - 1.0) ** 2 - m * m))
             / ((2.0 * nn - 3.0) * (nn * nn - m * m))
         )
-        coeffs.append((
-            a[:, None],
-            b[:, None],
-            math.sqrt(2.0 * nn + 1.0),
-            math.sqrt((2.0 * nn + 1.0) / (2.0 * nn)),
-        ))
-    return tuple(coeffs)
-
-
-def _legendre_rows(ell: int, x: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Fully normalized associated Legendre values at the top ``depth`` degrees.
-
-    Returns ``depth`` arrays of shape (N, ell+1); entry k holds, in column
-    m, the value of P_bar_{ell-k, m}(x) (zero where m exceeds the degree).
-    The normalization satisfies integral of P_bar^2 over [-1, 1] equal to
-    2, so the zonal basis function is exactly P_bar_{ell,0}.
-
-    Each pass of the loop advances all orders m of one degree at once, so
-    the interpreter runs O(ell) passes.  The buffers are laid out
-    order-major, (ell+1, N): the orders a pass touches form one contiguous
-    block, and in-place ufuncs (``out=``) write into the three recycled
-    buffers and one scratch buffer instead of allocating a temporary per
-    operation.  Each element sees the same floating-point operations in
-    the same order as the degree-major (N, ell+1) form, so the values are
-    bit-identical to it.  The rows come back as C-contiguous (N, ell+1)
-    copies.  The one caller is ``_theta_fourier``, which samples the top
-    degree once per degree: every Legendre value of the basis comes from
-    that table, so this recurrence is its only Legendre source.
-    """
-    x = np.asarray(x, dtype=float)
-    n_pts = x.shape[0]
-    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    if ell == 0:
-        return [np.ones((n_pts, 1))] + [np.zeros((n_pts, 1)) for _ in range(depth - 1)]
-    prev2 = np.zeros((ell + 1, n_pts))
-    prev = np.zeros((ell + 1, n_pts))
-    prev[0] = 1.0
-    cur = np.zeros((ell + 1, n_pts))
-    cur[0] = math.sqrt(3.0) * x
-    cur[1] = math.sqrt(1.5) * sx
-    scratch = np.empty((ell - 1, n_pts))
-    for n, (a, b, c_diag, c_next) in enumerate(_legendre_coefficients(ell), start=2):
-        # the oldest buffer holds degree n-3, so its rows above n are
-        # already zero; rows 0..n are overwritten below
-        nxt = prev2
-        low, tmp = nxt[: n - 1], scratch[: n - 1]
-        np.multiply(cur[: n - 1], x, out=low)
-        low *= a
-        np.multiply(prev[: n - 1], b, out=tmp)
-        low -= tmp
-        np.multiply(x, c_diag, out=nxt[n - 1])
-        nxt[n - 1] *= cur[n - 1]
-        np.multiply(sx, c_next, out=nxt[n])
-        nxt[n] *= cur[n - 1]
-        prev2, prev, cur = prev, cur, nxt
-    return [np.ascontiguousarray(rows.T) for rows in (cur, prev, prev2)[:depth]]
+        nxt[:, : n - 1] = a * (x[:, None] * cur[:, : n - 1]) - b * prev[:, : n - 1]
+        nxt[:, n - 1] = math.sqrt(2.0 * nn + 1.0) * x * cur[:, n - 1]
+        nxt[:, n] = math.sqrt((2.0 * nn + 1.0) / (2.0 * nn)) * sx * cur[:, n - 1]
+        prev, cur, nxt = cur, nxt, prev
+    return cur
 
 
 def _check_s2(level: HarmonicLevel) -> None:
@@ -363,15 +328,15 @@ def _theta_fourier(ell: int) -> np.ndarray:
     the coefficients to rounding.  The recurrence runs once per distinct
     cos theta, at the ell + 2 samples in [0, pi]; the samples at 2 pi -
     theta repeat them with the odd orders flipped, since
-    ``_legendre_rows`` takes sin theta as sqrt(1 - x^2) >= 0.  Returns a read-only (2 ell + 1, 3, ell + 1) array: row 0 is
-    the constant term, rows 1..ell multiply cos k theta and rows
-    ell+1..2 ell multiply sin k theta (k = 1..ell, the layout of
-    ``_trig_rows``); the three column blocks give P_bar, dP_bar/dtheta and
-    d2P_bar/dtheta2, each order m a column.  One degree is kept, since a
-    caller evaluates many points or fields of one degree.
+    ``_legendre_rows`` takes sin theta as sqrt(1 - x^2) >= 0.  Returns a
+    read-only (2 ell + 1, 3, ell + 1) array: row 0 is the constant term,
+    rows 1..ell multiply cos k theta and rows ell+1..2 ell multiply
+    sin k theta (k = 1..ell, the layout of ``_trig_rows``); the three
+    column blocks give P_bar, dP_bar/dtheta and d2P_bar/dtheta2, each
+    order m a column.  One degree is kept, since a caller evaluates many
+    points or fields of one degree.
     """
-    upper = _legendre_rows(ell, np.cos(np.arange(ell + 2) * (math.pi / (ell + 1))),
-                           depth=1)[0]
+    upper = _legendre_rows(ell, np.cos(np.arange(ell + 2) * (math.pi / (ell + 1))))
     lower = upper[ell:0:-1].copy()
     lower[:, 1::2] *= -1.0
     spec = np.fft.rfft(np.vstack([upper, lower]), axis=0)[: ell + 1] / (2 * ell + 2)

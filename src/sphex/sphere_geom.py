@@ -112,25 +112,6 @@ def quasi_uniform_grid(dim: int, count: int) -> SphereGrid:
     return SphereGrid(dim, _banded_points(dim, count), w)
 
 
-def _iso_latitude_rings(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (thetas, phis) of ``iso_latitude_grid(count)``, without its points.
-
-    There are about sqrt(count / 2) rings at the colatitudes of
-    equal-measure bands, cos(theta_i) = 1 - (2i + 1)/n_theta, and twice as
-    many longitudes, which matches the 2:1 aspect of the (phi, theta)
-    rectangle.
-    """
-    if count < 4:
-        raise ValueError(f"count must be >= 4, got {count}")
-    n_theta = max(2, round(math.sqrt(count / 2.0)))
-    n_phi = max(3, int(math.ceil(count / n_theta)))
-    i = np.arange(n_theta, dtype=float)
-    cos_t = 1.0 - (2.0 * i + 1.0) / n_theta
-    thetas = np.arccos(np.clip(cos_t, -1.0, 1.0))
-    phis = 2.0 * math.pi * np.arange(n_phi, dtype=float) / n_phi
-    return thetas, phis
-
-
 def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The (N, 3) unit vectors at colatitudes ``theta``, longitudes ``phi``."""
     st = np.sin(theta)
@@ -140,14 +121,22 @@ def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def iso_latitude_grid(count: int) -> SphereGrid:
     """Equal-area iso-latitude product grid on S^2 with >= count points.
 
-    Rings sit at the colatitudes of equal-measure bands
-    (``_iso_latitude_rings``), each carrying the same uniform longitude
-    lattice, so every point has weight 1/N.  The product structure is
-    recorded in ``rings`` and enables separable (matrix product)
-    evaluation of harmonic expansions.
+    There are about sqrt(count / 2) rings at the colatitudes of
+    equal-measure bands, cos(theta_i) = 1 - (2i + 1)/n_theta, each
+    carrying the same uniform longitude lattice of twice as many points,
+    which matches the 2:1 aspect of the (phi, theta) rectangle; every
+    point has weight 1/N.  The product structure is recorded in ``rings``
+    and enables separable (matrix product) evaluation of harmonic
+    expansions.
     """
-    thetas, phis = _iso_latitude_rings(count)
-    n_theta, n_phi = thetas.size, phis.size
+    if count < 4:
+        raise ValueError(f"count must be >= 4, got {count}")
+    n_theta = max(2, round(math.sqrt(count / 2.0)))
+    n_phi = max(3, int(math.ceil(count / n_theta)))
+    i = np.arange(n_theta, dtype=float)
+    cos_t = 1.0 - (2.0 * i + 1.0) / n_theta
+    thetas = np.arccos(np.clip(cos_t, -1.0, 1.0))
+    phis = 2.0 * math.pi * np.arange(n_phi, dtype=float) / n_phi
     st = np.sin(thetas)
     pts = np.empty((n_theta * n_phi, 3))
     pts[:, 0] = np.outer(st, np.cos(phis)).ravel()

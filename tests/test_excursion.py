@@ -19,6 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from sphex import excursion, harmonics
 from sphex.excursion import (
@@ -42,7 +43,12 @@ from sphex.harmonics import (
     stream,
 )
 from sphex.specfun import CriticalKind, HarmonicLevel, _normal_cdf, gaussian
-from sphex.sphere_geom import icosphere, iso_latitude_grid, quasi_uniform_grid
+from sphex.sphere_geom import (
+    _unit_vectors,
+    icosphere,
+    iso_latitude_grid,
+    quasi_uniform_grid,
+)
 
 
 def zonal_coeffs(ell: int, radius: float = 1.0) -> CoefficientVector:
@@ -537,23 +543,30 @@ class TestFindCriticalPointsGeneric:
             find_critical_points(CoefficientVector(lv3, alpha))
 
 
+def lattice_ell_delta(ell: int) -> float:
+    """ell times the covering radius of ``_seed_rings(ell)`` with antipodes:
+    the half-diagonal (sqrt(2)/2) pi ell / n of a lattice cell, n rings over
+    [0, pi] and 2 n longitudes."""
+    (_, phis), _ = excursion._seed_rings(ell)
+    return math.sqrt(2.0) / 2.0 * math.pi * ell / (phis.size // 2)
+
+
 class TestSeedRings:
     @pytest.mark.parametrize("ell", [1, 2, 7, 24])
     def test_ring_path_matches_pointwise_jet(self, ell):
         # the first Newton iteration synthesizes the jet on the seed rings;
         # it must agree with the pointwise jet at every seed, the first and
         # last rings (largest 1/sin theta) included, to rounding scaled by
-        # the derivative order j of each output.  The seeds are the rings of
-        # the upper hemisphere (theta <= pi/2, the equator ring included when
-        # the ring count is odd) plus cap rings at k * 0.5/ell inside the
-        # second ring, none within 0.25/ell of a grid ring, sorted by theta
+        # the derivative order j of each output.  The seeds are the upper
+        # half of the lattice with spacing h = pi/n, n = ceil(pi ell / 0.7):
+        # rings at (j + 1/2) h up to pi/2, the equator ring included when n
+        # is odd, and longitudes at k h over a full turn
         (seed_thetas, seed_phis), tables = excursion._seed_rings(ell)
-        thetas, phis = iso_latitude_grid(40 * ell * ell).rings
-        thetas = thetas[thetas <= math.pi / 2]
-        cap = np.arange(1, 4 * ell) * (0.5 / ell)
-        cap = cap[(cap < thetas[1])
-                  & (np.abs(cap[:, None] - thetas).min(axis=1) >= 0.25 / ell)]
-        thetas = np.sort(np.concatenate([cap, thetas]))
+        n = math.ceil(math.pi * ell / 0.7)
+        h = math.pi / n
+        thetas = (np.arange(n) + 0.5) * h
+        thetas = thetas[thetas <= math.pi / 2 + 1e-12]
+        phis = np.arange(2 * n) * h
         assert np.array_equal(seed_thetas, thetas)
         assert np.array_equal(seed_phis, phis)
         seed_t, seed_p = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
@@ -571,15 +584,30 @@ class TestSeedRings:
                 assert err[0].max() <= tol and err[-1].max() <= tol
                 assert err.max() <= tol
 
-    @pytest.mark.parametrize("r", [5, 9, 11])
-    def test_cap_rings_spare_the_retry(self, r):
-        # without the cap rings these ell=24 fields missed critical points
-        # near the chart pole and failed the Morse count on the first
-        # rotation; the cap seeds find them on the first attempt
+    @pytest.mark.parametrize("r", [5, 9, 11, 86])
+    def test_lattice_spares_the_retry(self, r):
+        # with seeds sparse in theta near the chart pole these ell=24 fields
+        # missed critical points there and failed the Morse count on the
+        # first rotation (r = 86 at |z| = 0.961, where the 40 ell^2 grid's
+        # rings were far apart); the lattice finds them on the first attempt
         cv = sample_gaussian(HarmonicLevel(24, 2), stream(5000 + r, 0, "cmp"))
         cps = find_critical_points(cv)
         assert cps.rotation_attempts == 1
         assert not cps.degenerate_flag
+
+    @pytest.mark.parametrize("ell", [2, 24, 64])
+    def test_covering_radius(self, ell):
+        # the farthest of 400k Fibonacci probes from every seed and antipode
+        # is within the closed form, which keeps the sup-norm seed fraction
+        # under the Bernstein bound
+        (thetas, phis), _ = excursion._seed_rings(ell)
+        seeds = _unit_vectors(np.repeat(thetas, phis.size), np.tile(phis, thetas.size))
+        chord, _ = cKDTree(np.vstack([seeds, -seeds])).query(
+            quasi_uniform_grid(2, 400_000).points)
+        probe = ell * 2.0 * math.asin(chord.max() / 2.0)
+        ell_delta = lattice_ell_delta(ell)
+        assert probe <= ell_delta <= 0.495
+        assert excursion._SUP_SEED_FRACTION <= 1.0 - ell_delta**2 / 2.0
 
     def test_seeds_with_a_capped_first_step_are_dropped(self):
         # a seed whose undamped first Newton step exceeds the pi/(2 ell)
@@ -881,6 +909,18 @@ class TestSupNorm:
         assert fine_max == pytest.approx(5.2983, abs=1e-4)
         assert sup_norm(cv)[0] >= fine_max
 
+    @pytest.mark.parametrize("ell, fields", [(16, 100), (64, 60)])
+    def test_within_the_bernstein_bound_of_the_scan(self, ell, fields):
+        # the scan maximum M_s is within 1 - (ell delta)^2 / 2 of the sup
+        # norm, so sup_norm lies in [M_s, M_s / (1 - (ell delta)^2 / 2)]
+        bound = 1.0 - lattice_ell_delta(ell) ** 2 / 2.0
+        _, tables = excursion._seed_rings(ell)
+        for r in range(fields):
+            cv = sample_gaussian(HarmonicLevel(ell, 2), stream(11, r, "sup"))
+            scan = float(np.abs(harmonics._ring_values(cv, tables)).max())
+            value, _ = sup_norm(cv)
+            assert scan * (1.0 - 1e-12) <= value <= scan / bound
+
     def test_d3_rejected(self):
         lv = HarmonicLevel(2, 3)
         alpha = np.zeros(lv.n)
@@ -914,9 +954,9 @@ class TestExportCsv:
     # included), which do not depend on how the positions are normalized;
     # the ids leave the digests out, so regenerating one keeps the test's name
     @pytest.mark.parametrize("ell, rows, digest", [
-        (3, 14, "d6cbc2ed630e7fd9822231f5e4a386823a1cebcafb2bb68b880acc88b37bca58"),
-        (8, 82, "761c8d4f5a22885655a9a83156c11af3c55064a70ba8c152bc69575ff03dd9b2"),
-        (16, 322, "7a603da2f37e266bcd110aa32fd1d6f6dcdec2d3fc16bb459576aed1fa102ed5"),
+        (3, 14, "5dc7b53ffd2e03263785cc5993acc4da0de6a0f6f1f10dec8392cc82464dc0a2"),
+        (8, 82, "54dcd233d9c0cc11baedb9e27824961b3478da0cc3a4974fe89a3cae8c2dab16"),
+        (16, 322, "c0da352c9a64dd462d100b5538ded7c27e3b392a29a8d460977f0f5ac560ab1c"),
     ], ids=["ell3", "ell8", "ell16"])
     def test_columns_pinned(self, ell, rows, digest):
         cv = sample_gaussian(HarmonicLevel(ell, 2), stream(26, ell, "export"))

@@ -802,10 +802,10 @@ class TestGridGolden:
             "25b9a15546280adc888c306c6b44094843851ee07060016e7ddffd87fe2a83de"
         ),
         "supnorm.csv": (
-            "f5b34a4d04012c224b9ff334f7014aa4b6081d0f630dd8e74666580f56e5d262"
+            "15c67799f9beb8416c649d22c9a70dac947445d926aa2ab8c1cb1cd592c9d9e9"
         ),
         "supnorm.json": (
-            "c95ed27b11aeae06ea2933dd783149e3b52ad90f4d3ee62502fe39961d5b8eea"
+            "f7330d6a777e8a83001bce50ce640cb1d239ca14750b0d6a46261022f9e9d25f"
         ),
     }
 

@@ -185,9 +185,10 @@ class CriticalPointSet:
         return {k.value: int(n) for k, n in zip(_MORSE_KINDS, per_index)}
 
 
-# critical-point search: seed lattice spacing times ell, dedupe radius
-# times ell, Newton iteration cap, and rotations tried before a set is
-# flagged
+# critical-point search: the largest seed lattice spacing times ell (the
+# spacing is pi / n for the smallest 7-smooth n >= pi ell / 0.7), dedupe
+# radius times ell, Newton iteration cap, and rotations tried before a set
+# is flagged
 _SEED_STEP_ELL = 0.7
 _DEDUPE_RADIUS_ELL = 0.02
 _NEWTON_MAX_ITER = 40
@@ -198,7 +199,8 @@ _ROTATION_ATTEMPTS = 3
 # M (1 - (ell delta)^2 / 2) within distance delta of a maximizer of |f| = M.
 # The seeds and their antipodes cover the sphere within the lattice's
 # half-diagonal, ell delta = (sqrt(2)/2) pi ell / n <= (sqrt(2)/2) 0.7 <=
-# 0.495 (``_seed_rings``), so the bound is >= 0.877 at every point
+# 0.495 (``_seed_rings``; rounding n up to a 7-smooth size only shrinks
+# it), so the bound is >= 0.877 at every point
 _SUP_SEED_FRACTION = 0.86
 
 
@@ -222,34 +224,56 @@ def _sample_rotation(coeffs: CoefficientVector, attempt: int) -> np.ndarray:
     return q
 
 
-@functools.lru_cache(maxsize=1)
-def _seed_rings(ell: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Newton seed rings of degree ell and their jet tables, last degree only.
+def _seed_lattice_size(ell: int) -> int:
+    """The smallest 7-smooth n >= pi ell / 0.7: the seed lattice's n.
 
-    Returns (thetas, phis) and the tables; the seeds are their product in
-    ring-major order, seed k at (thetas[k // n_phi], phis[k % n_phi]).
-    They are the upper half of a lattice uniform in theta and phi: with
-    n = ceil(pi ell / 0.7) and h = pi / n, the rings sit at theta_j =
-    (j + 1/2) h for j < ceil(n / 2) (the equator ring included when n is
-    odd) and the longitudes at phi_k = k h for k < 2 n.  A lattice cell
-    is at most h by h in (theta, phi), and sin theta <= 1, so with their
-    antipodes the seeds cover the sphere within the half-diagonal
-    (sqrt(2)/2) h <= 0.495/ell, pole and equator alike.  A degree-ell
-    field has parity (-1)^ell, so ``find_critical_points`` reflects the
-    roots these seeds reach instead of seeding the lower half.  The
-    tables let the first Newton iteration synthesize the jet at every
-    seed by matrix products (``harmonics._ring_jet2``), and ``sup_norm``
-    scan the values (``harmonics._ring_values``).  One degree is kept,
-    since a campaign cell searches many fields of one degree.
+    A 7-smooth number has no prime factor above 7, so the inverse FFT over
+    the lattice's 2 n longitudes is fast (at ell = 256, n = 1149 = 3 * 383
+    took five times as long as n = 1152).  n = ceil(pi ell / 0.7) itself at
+    52 of the degrees 1..512, small ones mostly; elsewhere the rounding
+    adds at most 6.2%.
     """
     n = math.ceil(math.pi * ell / _SEED_STEP_ELL)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+@functools.lru_cache(maxsize=1)
+def _seed_rings(ell: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Newton seed rings of degree ell and their jet rows, last degree only.
+
+    Returns (thetas, phis) and the rows; the seeds are their product in
+    ring-major order, seed k at (thetas[k // n_phi], phis[k % n_phi]).
+    They are the upper half of a lattice uniform in theta and phi: with n
+    the smallest 7-smooth integer >= pi ell / 0.7 (``_seed_lattice_size``)
+    and h = pi / n, the rings sit at theta_j = (j + 1/2) h for j <
+    ceil(n / 2) (the equator ring included when n is odd) and the
+    longitudes at phi_k = k h for k < 2 n.  A lattice cell is at most h by
+    h in (theta, phi), and sin theta <= 1, so with their antipodes the
+    seeds cover the sphere within the half-diagonal (sqrt(2)/2) h <=
+    0.495/ell, pole and equator alike.  A degree-ell field has parity
+    (-1)^ell, so ``find_critical_points`` reflects the roots these seeds
+    reach instead of seeding the lower half.  The rows
+    (``harmonics._ring_rows``) let the first Newton iteration synthesize
+    the jet at every seed (``harmonics._ring_jet2``), and ``sup_norm`` scan
+    the values (``harmonics._ring_scan``), by one inverse real FFT of 2 n
+    points per ring, which the 7-smooth n keeps fast.  One degree is kept,
+    since a campaign cell searches many fields of one degree.
+    """
+    n = _seed_lattice_size(ell)
     h = math.pi / n
     thetas = (np.arange((n + 1) // 2) + 0.5) * h
     phis = np.arange(2 * n) * h
-    tables = harmonics._ring_jet_tables(ell, thetas, phis)
-    for arr in (thetas, phis, *tables):
+    rows = harmonics._ring_rows(ell, thetas)
+    for arr in (thetas, phis, *rows):
         arr.flags.writeable = False
-    return (thetas, phis), tables
+    return (thetas, phis), rows
 
 
 def _newton_roots(
@@ -369,10 +393,10 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
     coefficients, so results never depend on where the field happens to
     sit relative to the chart poles and rescaled coefficients retrace the
     identical trajectory; positions are rotated back on output.  Newton
-    runs at most 40 iterations; the first evaluates the jet on the seed
-    rings by matrix products, from tables kept for the last degree
-    searched, and drops every seed whose first step is longer than the
-    pi/(2 ell) step cap (about 60% of them; see ``_newton_roots``).  The
+    runs at most 40 iterations; the first synthesizes the jet on the seed
+    rings by inverse FFTs along longitude, from rows kept for the last
+    degree searched, and drops every seed whose first step is longer than
+    the pi/(2 ell) step cap (about 60% of them; see ``_newton_roots``).  The
     roots and their reflections are classified by the eigenvalue signs of
     the analytic covariant Hessian (the same jet that drives Newton, one
     evaluation for all of them), then merged first-wins within 0.02/ell
@@ -395,7 +419,7 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
         raise ValueError("constant fields (ell = 0) have no isolated critical points")
     radius = _DEDUPE_RADIUS_ELL / ell
     floor = 1e-6 * ell * ell * coeffs.radius
-    (thetas, phis), tables = _seed_rings(ell)
+    (thetas, phis), rows = _seed_rings(ell)
     s_theta, s_phi = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
     last: Optional[CriticalPointSet] = None
     for attempt in range(_ROTATION_ATTEMPTS):
@@ -407,7 +431,7 @@ def find_critical_points(coeffs: CoefficientVector) -> CriticalPointSet:
         # critical points exactly on the poles otherwise)
         rot = _sample_rotation(coeffs, attempt)
         work = harmonics._rotated_coefficients(coeffs, rot)
-        seed_jet = harmonics._ring_jet2(work, tables)
+        seed_jet = harmonics._ring_jet2(work, rows, phis.size)
         root_t, root_p = _newton_roots(work, s_theta, s_phi, seed_jet)
         # the antipode of a root of the rotated field is a root too: it is
         # where the reflected seed would have converged
@@ -506,7 +530,8 @@ def euler_characteristic_mesh(
 def sup_norm(coeffs: CoefficientVector) -> tuple[float, np.ndarray]:
     """Sup norm of the field and a point attaining it, as a (3,) unit array.
 
-    Scans the seed lattice of the critical-point search (``_seed_rings``);
+    Scans the seed lattice of the critical-point search (``_seed_rings``),
+    one inverse real FFT along longitude per ring (``harmonics._ring_scan``);
     since |f(-x)| = |f(x)| its upper hemisphere is enough.  Every point
     lies within 0.495/ell of a seed or its antipode, so by Bernstein's
     inequality the seed nearest a maximizer of |f| has |f| >= 0.877 times
@@ -525,8 +550,8 @@ def sup_norm(coeffs: CoefficientVector) -> tuple[float, np.ndarray]:
     ell = level.ell
     candidates = [np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])]
     if ell >= 1:
-        (thetas, phis), tables = _seed_rings(ell)
-        size = np.abs(harmonics._ring_values(coeffs, tables))
+        (thetas, phis), rows = _seed_rings(ell)
+        size = np.abs(harmonics._ring_scan(coeffs, rows, phis.size))
         top = np.flatnonzero(size >= _SUP_SEED_FRACTION * size.max())
         ring, lon = np.divmod(top[np.argsort(-size[top], kind="stable")], phis.size)
         theta, phi = thetas[ring], phis[lon]

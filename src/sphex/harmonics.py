@@ -385,7 +385,7 @@ def _jet_rows(ell: int, theta: np.ndarray, depth: int) -> np.ndarray:
     its kernel by the batch's shape, so a point's bits would depend on the
     batch it came in.  This is the one place the basis is differentiated:
     ``_frame_jet2`` reads it, and the ring path ``_ring_jet2`` reads the
-    same table through ``_ring_jet_tables``.
+    same table through ``_ring_rows``.
     """
     table = _theta_fourier(ell)[:, :depth].reshape(2 * ell + 1, -1)
     rows = np.matmul(_trig_rows(theta, ell)[:, None, :], table)
@@ -441,66 +441,114 @@ def _frame_jet2_block(
     return val, g_t, g_p, h_tt, h_tp, h_pp
 
 
-def _ring_jet_tables(
-    ell: int, thetas: np.ndarray, phis: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Tables of the jet on an iso-latitude product grid.
+def _ring_rows(ell: int, thetas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ring half of ``_ring_jet_tables``: what the jet needs per ring.
 
-    Returns cos theta and the floored sin theta over the rings, the jet
+    Returns cos theta and the floored sin theta over the rings, and the jet
     rows (P_bar, dP_bar/dtheta, d2P_bar/dtheta2) over the rings as one
-    (3, n_theta, ell+1) array, and the cosine lattices of orders 1..ell
-    over the longitudes stacked on the sine lattices, shape (2 ell, n_phi).
-    The jet rows are the trig rows times ``_theta_fourier``'s table, as in
-    ``_jet_rows``, but by one plain matrix product: the ring path need only
-    agree with ``_frame_jet2`` to rounding.  The tables depend only on the
-    degree and the rings, so a caller that evaluates many fields of one
-    degree on one grid builds them once.
+    (3, n_theta, ell+1) array.  The jet rows are the trig rows times
+    ``_theta_fourier``'s table, as in ``_jet_rows``, but by one plain
+    matrix product: the ring paths need only agree with ``_frame_jet2`` to
+    rounding.  The seed lattice of ``excursion._seed_rings`` keeps these
+    alone, since its longitudes are equispaced over a full turn and its
+    synthesis (``_ring_scan``, ``_ring_jet2``) is an inverse FFT.
     """
     x = np.cos(thetas)
     s = np.maximum(np.sin(thetas), 1e-12)
     rows = _trig_rows(thetas, ell) @ _theta_fourier(ell).reshape(2 * ell + 1, -1)
     jet = rows.reshape(-1, 3, ell + 1).transpose(1, 0, 2)
+    return x, s, jet
+
+
+def _ring_jet_tables(
+    ell: int, thetas: np.ndarray, phis: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Tables of the field on an iso-latitude product grid.
+
+    Returns the ``_ring_rows`` of the rings and the cosine lattices of
+    orders 1..ell over the longitudes stacked on the sine lattices, shape
+    (2 ell, n_phi), which ``_ring_values`` multiplies.  The tables depend
+    only on the degree and the rings, so a caller that evaluates many
+    fields of one degree on one grid builds them once.
+    """
     ang = np.arange(1, ell + 1)[:, None] * phis[None, :]
     lattice = np.empty((2 * ell, phis.size))
     np.cos(ang, out=lattice[:ell])
     np.sin(ang, out=lattice[ell:])
-    return x, s, jet, lattice
+    return (*_ring_rows(ell, thetas), lattice)
+
+
+def _longitude_weights(coeffs: CoefficientVector, n_phi: int) -> np.ndarray:
+    """Weights that make an inverse real FFT of the rows the field on rings.
+
+    ``np.fft.irfft(X, n_phi)`` at phi_k = 2 pi k / n_phi is (X_0 + 2 sum_m
+    Re(X_m exp(i m phi_k))) / n_phi, and Re((c - i s) exp(i m phi)) = c cos
+    m phi + s sin m phi.  So a ring's spectrum is its Legendre row times
+    these weights, order m in bin m: n_phi radius a_0 for the zonal order
+    and sqrt(2) (n_phi / 2) radius (a_c - i a_s) for the others.  Returns
+    them as an (ell+1,) complex array; ell < n_phi / 2 keeps the Nyquist
+    bin empty.
+    """
+    r, a = coeffs.radius, coeffs.alpha
+    weights = np.empty(a.size // 2 + 1, dtype=complex)
+    weights[0] = n_phi * r * a[0]
+    weights[1:] = (_SQRT2 * (n_phi // 2) * r) * (a[1::2] - 1j * a[2::2])
+    return weights
+
+
+def _ring_fft(rows: np.ndarray, weights: np.ndarray, n_phi: int) -> np.ndarray:
+    """Inverse real FFT over n_phi longitudes of each ring's rows times weights.
+
+    ``rows`` is (n_rings, ell+1).  Returns (n_rings, n_phi): ring j at phi_k
+    = 2 pi k / n_phi is the sum over m of rows[j, m] times order m's wave,
+    as ``_longitude_weights`` sets it up.
+    Each ring is transformed on its own, so no ring's bits depend on the
+    others or on the BLAS thread count.
+    """
+    spec = np.zeros((rows.shape[0], n_phi // 2 + 1), dtype=complex)
+    spec[:, : weights.size] = rows * weights
+    return np.fft.irfft(spec, n=n_phi, axis=1)
+
+
+def _ring_scan(
+    coeffs: CoefficientVector, rows: tuple[np.ndarray, ...], n_phi: int
+) -> np.ndarray:
+    """The field on the rings of ``_ring_rows`` at n_phi equispaced longitudes.
+
+    The longitudes are phi_k = 2 pi k / n_phi over a full turn, and the
+    values come ring-major.  Each ring is one inverse real FFT
+    (``_ring_fft``), which costs O(n_phi log n_phi) per ring against the
+    O(ell n_phi) of a lattice product when n_phi has only small prime
+    factors (``excursion._seed_rings`` makes it so).  The ``sup_norm`` scan
+    reads it.
+    """
+    weights = _longitude_weights(coeffs, n_phi)
+    return _ring_fft(rows[2][0], weights, n_phi).ravel()
 
 
 def _ring_jet2(
-    coeffs: CoefficientVector, tables: tuple[np.ndarray, ...]
+    coeffs: CoefficientVector, rows: tuple[np.ndarray, ...], n_phi: int
 ) -> tuple[np.ndarray, ...]:
-    """``_frame_jet2`` at every point of an iso-latitude product grid.
+    """``_frame_jet2`` on the rings of ``_ring_rows`` at n_phi longitudes.
 
-    ``tables`` come from ``_ring_jet_tables`` at the field's degree.  The
-    basis factorizes into the ring jet rows times the longitude lattices,
-    so the six outputs take one matrix product, as in ``_ring_values``.
-    They are flat in the grid's ring-major point order and agree with
-    ``_frame_jet2`` at the same points up to rounding, since the sums over
-    orders run in a different order.
+    The longitudes are those of ``_ring_scan``, and so is the synthesis:
+    one inverse real FFT per ring and output.  The theta-derivatives take
+    the derivative rows, and d/dphi multiplies order m's weight by i m.
+    The outputs are flat in ring-major point order; the value is
+    ``_ring_scan``'s, bit for bit, and all six agree with ``_frame_jet2``
+    at the same points up to rounding, since the sums over orders run in a
+    different order.  One transform per output keeps each spectrum small
+    (a stacked (6, n_rings, n_phi / 2 + 1) one took twice as long at ell =
+    24).
     """
-    x, s, jet, lattice = tables
-    ell = coeffs.level.ell
-    r, a = coeffs.radius, coeffs.alpha
-    ac, asn = a[1::2], a[2::2]
-    m = np.arange(1, ell + 1, dtype=float)
-    p, d, dd = jet[:, :, 1:]
-    # (rows, cosine weights, sine weights) of f, f_theta, f_theta_theta,
-    # f_phi, f_theta_phi and f_phi_phi, before the frame's 1/sin factors
-    terms = (
-        (p, ac, asn),
-        (d, ac, asn),
-        (dd, ac, asn),
-        (p, m * asn, -m * ac),
-        (d, m * asn, -m * ac),
-        (p, -m * m * ac, -m * m * asn),
-    )
-    left = np.stack([np.hstack([rows * wc, rows * ws]) for rows, wc, ws in terms])
-    sums = (left.reshape(-1, 2 * ell) @ lattice).reshape(6, x.shape[0], -1)
-    sums *= r * _SQRT2
-    zonal = r * a[0] * jet[:, :, :1]
-    val, g_t, h_tt = sums[:3] + zonal
-    f_p, f_tp, f_pp = sums[3:]
+    x, s, (p, d, dd) = rows
+    weights = _longitude_weights(coeffs, n_phi)
+    m = np.arange(weights.size)
+    w_p, w_pp = 1j * m * weights, -(m * m) * weights
+    # f, f_theta and f_theta_theta, then f_phi, f_theta_phi and f_phi_phi,
+    # before the frame's 1/sin factors
+    terms = ((p, weights), (d, weights), (dd, weights), (p, w_p), (d, w_p), (p, w_pp))
+    val, g_t, h_tt, f_p, f_tp, f_pp = (_ring_fft(r, w, n_phi) for r, w in terms)
     s_col = s[:, None]
     cot = (x / s)[:, None]
     g_p = f_p / s_col
@@ -514,9 +562,12 @@ def _ring_values(
 ) -> np.ndarray:
     """The field on the product grid of ``_ring_jet_tables``, ring-major.
 
-    ``evaluate_grid`` and the ``sup_norm`` scan both read it.  Per point it
-    rounds as radius * ((zonal + cosine sum) + sine sum); addition commutes,
-    so the zonal column is added in place after the cosine product.
+    ``evaluate_grid`` reads it: a grid's longitudes need not be equispaced
+    over a full turn, and its bytes are pinned, so it keeps the two
+    lattice products where the seed lattice takes ``_ring_scan``.  Per
+    point it rounds as radius * ((zonal + cosine sum) + sine sum);
+    addition commutes, so the zonal column is added in place after the
+    cosine product.
     """
     _, _, jet, lattice = tables
     ell, a = coeffs.level.ell, coeffs.alpha

@@ -7,6 +7,7 @@ an explicit traceless 3x3 matrix), and zonal fields (1-d Legendre
 analysis of the critical parallels).
 """
 
+import bisect
 import csv
 import dataclasses
 import hashlib
@@ -543,6 +544,18 @@ class TestFindCriticalPointsGeneric:
             find_critical_points(CoefficientVector(lv3, alpha))
 
 
+# the 7-smooth integers (no prime factor above 7) below 4096, ascending
+SEVEN_SMOOTH = sorted(
+    k for k in (2**a * 3**b * 5**c * 7**d for a in range(12) for b in range(8)
+                for c in range(6) for d in range(5))
+    if k < 4096
+)
+
+
+def smallest_7_smooth_at_least(n: int) -> int:
+    return SEVEN_SMOOTH[bisect.bisect_left(SEVEN_SMOOTH, n)]
+
+
 def lattice_ell_delta(ell: int) -> float:
     """ell times the covering radius of ``_seed_rings(ell)`` with antipodes:
     the half-diagonal (sqrt(2)/2) pi ell / n of a lattice cell, n rings over
@@ -558,11 +571,12 @@ class TestSeedRings:
         # it must agree with the pointwise jet at every seed, the first and
         # last rings (largest 1/sin theta) included, to rounding scaled by
         # the derivative order j of each output.  The seeds are the upper
-        # half of the lattice with spacing h = pi/n, n = ceil(pi ell / 0.7):
-        # rings at (j + 1/2) h up to pi/2, the equator ring included when n
-        # is odd, and longitudes at k h over a full turn
-        (seed_thetas, seed_phis), tables = excursion._seed_rings(ell)
-        n = math.ceil(math.pi * ell / 0.7)
+        # half of the lattice with spacing h = pi/n, n the smallest 7-smooth
+        # integer >= ceil(pi ell / 0.7): rings at (j + 1/2) h up to pi/2, the
+        # equator ring included when n is odd, and longitudes at k h over a
+        # full turn
+        (seed_thetas, seed_phis), rows = excursion._seed_rings(ell)
+        n = smallest_7_smooth_at_least(math.ceil(math.pi * ell / 0.7))
         h = math.pi / n
         thetas = (np.arange(n) + 0.5) * h
         thetas = thetas[thetas <= math.pi / 2 + 1e-12]
@@ -572,10 +586,10 @@ class TestSeedRings:
         seed_t, seed_p = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
         for rep in range(2):
             cv = sample_gaussian(HarmonicLevel(ell, 2), stream(23, rep, "rings"))
-            ring = harmonics._ring_jet2(cv, tables)
+            ring = harmonics._ring_jet2(cv, rows, phis.size)
             pointwise = harmonics._frame_jet2(cv, seed_t, seed_p)
             # the value-only synthesis sup_norm scans with
-            values = harmonics._ring_values(cv, tables)
+            values = harmonics._ring_scan(cv, rows, phis.size)
             assert np.abs(values - ring[0]).max() <= 1e-12 * cv.radius
             for j, r_out, p_out in zip((0, 1, 1, 2, 2, 2), ring, pointwise):
                 assert r_out.shape == seed_t.shape
@@ -583,6 +597,54 @@ class TestSeedRings:
                 tol = 1e-12 * cv.radius * ell**j
                 assert err[0].max() <= tol and err[-1].max() <= tol
                 assert err.max() <= tol
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 16, 64, 256])
+    def test_scan_matches_pointwise_evaluate(self, ell):
+        # the sup-norm scan, one inverse FFT per ring, against the per-point
+        # basis product of ``evaluate`` at every seed's (theta, phi), within
+        # 1e-12 radius.  Up to ell=64 ``evaluate`` itself, from the seeds'
+        # unit vectors, holds the same tolerance; at ell=256 the arccos that
+        # recovers theta from a unit vector near the pole is off by about
+        # eps / sin theta, 1.1e-11 radius on the first ring whatever the
+        # synthesis, so there the reference takes the angles directly.  At
+        # ell=256 (1.3M seeds) the check covers every seed of every eighth
+        # ring, the last ring and the first two
+        (thetas, phis), rows = excursion._seed_rings(ell)
+        n = smallest_7_smooth_at_least(math.ceil(math.pi * ell / 0.7))
+        assert phis.size == 2 * n
+        cv = sample_gaussian(HarmonicLevel(ell, 2), stream(11, 0, "sup"))
+        scan = harmonics._ring_scan(cv, rows, phis.size).reshape(thetas.size, -1)
+        picked = np.arange(thetas.size)
+        if ell == 256:
+            picked = np.union1d(picked[::8], [1, thetas.size - 1])
+        for start in range(0, picked.size, 4):
+            chunk = picked[start : start + 4]
+            seed_t = np.repeat(thetas[chunk], phis.size)
+            seed_p = np.tile(phis, chunk.size)
+            basis = harmonics._basis_matrix(ell, seed_t, seed_p)
+            refs = [cv.radius * (basis @ cv.alpha)]
+            if ell <= 64:
+                refs.append(evaluate(cv, _unit_vectors(seed_t, seed_p)))
+            for ref in refs:
+                assert np.abs(scan[chunk].ravel() - ref).max() <= 1e-12 * cv.radius
+
+    def test_lattice_size_rule(self):
+        # the seed lattice's n is the smallest 7-smooth integer >= pi ell /
+        # 0.7, so the longitude FFT over 2 n points is fast; it rounds up
+        # the plain ceil(pi ell / 0.7) by at most 7%, and not at all at the
+        # degrees the golden, export and covering tests use
+        unchanged = {1, 2, 3, 4, 6, 7, 8, 10, 12, 16, 24, 32, 64}
+        for ell in range(1, 513):
+            n = excursion._seed_lattice_size(ell)
+            plain = math.ceil(math.pi * ell / 0.7)
+            assert n in SEVEN_SMOOTH
+            assert n == smallest_7_smooth_at_least(plain)
+            assert n >= math.pi * ell / 0.7
+            assert n / plain <= 1.07
+            if ell in unchanged:
+                assert n == plain
+        assert excursion._seed_lattice_size(128) == 576
+        assert excursion._seed_lattice_size(256) == 1152
 
     @pytest.mark.parametrize("r", [5, 9, 11, 86])
     def test_lattice_spares_the_retry(self, r):
@@ -615,9 +677,9 @@ class TestSeedRings:
         # it, and such seeds are most of the rings
         ell = 16
         cv = sample_gaussian(HarmonicLevel(ell, 2), stream(5000, 0, "cmp"))
-        (thetas, phis), tables = excursion._seed_rings(ell)
+        (thetas, phis), rows = excursion._seed_rings(ell)
         seed_t, seed_p = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
-        jet = harmonics._ring_jet2(cv, tables)
+        jet = harmonics._ring_jet2(cv, rows, phis.size)
         _, g_t, g_p, h_tt, h_tp, h_pp = jet
         hess = np.stack([np.stack([h_tt, h_tp], -1), np.stack([h_tp, h_pp], -1)], -1)
         step = np.linalg.solve(hess, -np.stack([g_t, g_p], -1)[..., None])[..., 0]
@@ -914,10 +976,10 @@ class TestSupNorm:
         # the scan maximum M_s is within 1 - (ell delta)^2 / 2 of the sup
         # norm, so sup_norm lies in [M_s, M_s / (1 - (ell delta)^2 / 2)]
         bound = 1.0 - lattice_ell_delta(ell) ** 2 / 2.0
-        _, tables = excursion._seed_rings(ell)
+        (_, phis), rows = excursion._seed_rings(ell)
         for r in range(fields):
             cv = sample_gaussian(HarmonicLevel(ell, 2), stream(11, r, "sup"))
-            scan = float(np.abs(harmonics._ring_values(cv, tables)).max())
+            scan = float(np.abs(harmonics._ring_scan(cv, rows, phis.size)).max())
             value, _ = sup_norm(cv)
             assert scan * (1.0 - 1e-12) <= value <= scan / bound
 
@@ -955,8 +1017,8 @@ class TestExportCsv:
     # the ids leave the digests out, so regenerating one keeps the test's name
     @pytest.mark.parametrize("ell, rows, digest", [
         (3, 14, "5dc7b53ffd2e03263785cc5993acc4da0de6a0f6f1f10dec8392cc82464dc0a2"),
-        (8, 82, "54dcd233d9c0cc11baedb9e27824961b3478da0cc3a4974fe89a3cae8c2dab16"),
-        (16, 322, "c0da352c9a64dd462d100b5538ded7c27e3b392a29a8d460977f0f5ac560ab1c"),
+        (8, 82, "3bdf97dae47333e632d0ec8327aac8e93cd52c63403d814bdab6eb694e1901ae"),
+        (16, 322, "d781f5d0b07e2fb34de0dcfc3196a2730e98d92151602507c17a25eecdfab7c5"),
     ], ids=["ell3", "ell8", "ell16"])
     def test_columns_pinned(self, ell, rows, digest):
         cv = sample_gaussian(HarmonicLevel(ell, 2), stream(26, ell, "export"))

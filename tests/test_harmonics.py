@@ -220,8 +220,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("ell", [0, 1, 3, 24])
     def test_ring_values_equal_grid_evaluation(self, ell):
-        # the sup-norm scan and grid evaluation run one arithmetic: tables
-        # built on a grid's rings give its evaluate_grid values bit for bit
+        # grid evaluation is the lattice product: tables built on a grid's
+        # rings give its evaluate_grid values bit for bit
         cv = sample_gaussian(HarmonicLevel(ell, 2), stream(4, ell, "ringvalues"))
         grid = iso_latitude_grid(max(20 * ell * ell, 4))
         tables = _ring_jet_tables(ell, *grid.rings)

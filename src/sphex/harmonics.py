@@ -485,14 +485,15 @@ def _longitude_weights(coeffs: CoefficientVector, n_phi: int) -> np.ndarray:
     Re(X_m exp(i m phi_k))) / n_phi, and Re((c - i s) exp(i m phi)) = c cos
     m phi + s sin m phi.  So a ring's spectrum is its Legendre row times
     these weights, order m in bin m: n_phi radius a_0 for the zonal order
-    and sqrt(2) (n_phi / 2) radius (a_c - i a_s) for the others.  Returns
-    them as an (ell+1,) complex array; ell < n_phi / 2 keeps the Nyquist
-    bin empty.
+    and sqrt(2) (n_phi / 2) radius (a_c - i a_s) for the others, n_phi
+    odd or even (n_phi / 2 is exact, so an even count rounds as its
+    integer half would).  Returns them as an (ell+1,) complex array; ell <
+    n_phi / 2 keeps an even count's Nyquist bin empty.
     """
     r, a = coeffs.radius, coeffs.alpha
     weights = np.empty(a.size // 2 + 1, dtype=complex)
     weights[0] = n_phi * r * a[0]
-    weights[1:] = (_SQRT2 * (n_phi // 2) * r) * (a[1::2] - 1j * a[2::2])
+    weights[1:] = (_SQRT2 * (n_phi / 2) * r) * (a[1::2] - 1j * a[2::2])
     return weights
 
 

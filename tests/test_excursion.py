@@ -690,24 +690,51 @@ class TestSeedRings:
                 cv, seed_t[subset], seed_p[subset], tuple(j[subset] for j in jet))
             assert (roots.size > 0) is found
 
-    # Morse counts at the parent of the first-step filter, where every one of
-    # these fields passed on the first rotation
-    @pytest.mark.parametrize("ell, r, counts", [
-        (16, 0, (82, 158, 78)),
-        (16, 2, (84, 160, 78)),
-        (16, 3, (76, 156, 82)),
-        (16, 7, (74, 148, 76)),
-        (24, 0, (184, 352, 170)),
-        (24, 1, (164, 332, 170)),
-        (24, 5, (170, 346, 178)),
+    # Morse counts and rotation attempts at the parent of the first-step
+    # filter (the cmp fields) and of the capped-step filter on every
+    # iteration (the sweep fields and ell=13 r=178, whose first rotation
+    # misses a shallow maximum next to a saddle)
+    @pytest.mark.parametrize("ell, seed, purpose, counts, attempts", [
+        (16, 5000, "cmp", (82, 158, 78), 1),
+        (16, 5002, "cmp", (84, 160, 78), 1),
+        (16, 5003, "cmp", (76, 156, 82), 1),
+        (16, 5007, "cmp", (74, 148, 76), 1),
+        (24, 5000, "cmp", (184, 352, 170), 1),
+        (24, 5001, "cmp", (164, 332, 170), 1),
+        (24, 5005, "cmp", (170, 346, 178), 1),
+        (13, 5178, "cmp", (47, 92, 47), 2),
+        (16, 7000, "sweep", (80, 154, 76), 1),
+        (16, 7004, "sweep", (76, 158, 84), 1),
     ])
-    def test_first_step_filter_keeps_the_counts(self, ell, r, counts):
-        cv = sample_gaussian(HarmonicLevel(ell, 2), stream(5000 + r, 0, "cmp"))
+    def test_capped_step_filter_keeps_the_counts(self, ell, seed, purpose, counts,
+                                                 attempts):
+        cv = sample_gaussian(HarmonicLevel(ell, 2), stream(seed, 0, purpose))
         cps = find_critical_points(cv)
-        assert cps.rotation_attempts == 1
+        assert cps.rotation_attempts == attempts
         assert not cps.degenerate_flag
         c = cps.counts()
         assert (c["minimum"], c["saddle"], c["maximum"]) == counts
+
+    def test_iterates_are_thinned_after_every_step(self, monkeypatch):
+        # every jet after the seeds' is evaluated on iterates that round to
+        # distinct points on the 0.05/ell quantum, the first one included
+        ell = 16
+        cv = sample_gaussian(HarmonicLevel(ell, 2), stream(5000, 0, "cmp"))
+        (thetas, phis), rows = excursion._seed_rings(ell)
+        seed_t, seed_p = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
+        calls = []
+
+        def recording(coeffs, theta, phi):
+            calls.append(_unit_vectors(theta, phi))
+            return jet2(coeffs, theta, phi)
+
+        jet2 = harmonics._frame_jet2
+        monkeypatch.setattr(harmonics, "_frame_jet2", recording)
+        excursion._newton_roots(cv, seed_t, seed_p, harmonics._ring_jet2(cv, rows, phis.size))
+        assert len(calls) > 2
+        for xyz in calls:
+            keys = np.round(xyz / (0.05 / ell)).astype(np.int64)
+            assert np.unique(keys, axis=0).shape[0] == keys.shape[0]
 
     def test_seed_cache_follows_the_degree(self):
         # the seed rings and their tables are kept for the last degree only;
@@ -915,6 +942,33 @@ class TestEulerCharacteristic:
         assert type(euler_characteristic_mesh(cv, mesh, 0.0)) is int
         assert euler_characteristic_mesh(cv, mesh, levels[:0]).shape == (0,)
 
+    @pytest.mark.parametrize("nan_vertex", [False, True])
+    def test_mesh_by_minima_equals_all_vertices_form(self, epc_sample, monkeypatch,
+                                                      nan_vertex):
+        # an edge or face joins the subcomplex when every one of its
+        # vertices is >= u, counted here simplex by simplex.  The levels
+        # include vertex values, where ">= u" must count the vertex, and a
+        # NaN level; a NaN vertex value keeps out the vertex and every edge
+        # and face it is on
+        cv, _ = epc_sample
+        mesh = icosphere(3)
+        vals = evaluate(cv, mesh.vertices)
+        if nan_vertex:
+            vals[mesh.faces[0, 1]] = math.nan
+            monkeypatch.setattr(excursion, "evaluate", lambda *_: vals.copy())
+        finite = vals[np.isfinite(vals)]
+        levels = [-math.inf, -1.0, 0.0, float(np.median(finite)), float(finite[7]),
+                  float(finite.max()), 1.0, math.nan]
+        simplices = ([[i] for i in range(vals.size)], mesh.edges.tolist(),
+                     mesh.faces.tolist())
+        expected = [
+            sum((-1) ** dim * sum(all(vals[i] >= u for i in cell) for cell in cells)
+                for dim, cells in enumerate(simplices))
+            for u in levels
+        ]
+        assert euler_characteristic_mesh(cv, mesh, np.array(levels)).tolist() == expected
+        assert euler_characteristic_mesh(cv, mesh, levels[4]) == expected[4]
+
     def test_mesh_matches_morse(self, epc_sample):
         cv, cps = epc_sample
         mesh = icosphere(6)
@@ -1016,9 +1070,9 @@ class TestExportCsv:
     # included), which do not depend on how the positions are normalized;
     # the ids leave the digests out, so regenerating one keeps the test's name
     @pytest.mark.parametrize("ell, rows, digest", [
-        (3, 14, "5dc7b53ffd2e03263785cc5993acc4da0de6a0f6f1f10dec8392cc82464dc0a2"),
-        (8, 82, "3bdf97dae47333e632d0ec8327aac8e93cd52c63403d814bdab6eb694e1901ae"),
-        (16, 322, "d781f5d0b07e2fb34de0dcfc3196a2730e98d92151602507c17a25eecdfab7c5"),
+        (3, 14, "2bae094b15f613edff7bd6b8402452d09e2e3e403d98580daad76a17be396bae"),
+        (8, 82, "b381031cf629b8aae3e106db8253ce7d56593bfbfb17c79d80b474fefc3aeda6"),
+        (16, 322, "c0f5d1aa8bb30e660546e1d6ae4531272d3143f5bdd85bbfa8378a87d4154e9d"),
     ], ids=["ell3", "ell8", "ell16"])
     def test_columns_pinned(self, ell, rows, digest):
         cv = sample_gaussian(HarmonicLevel(ell, 2), stream(26, ell, "export"))

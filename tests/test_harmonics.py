@@ -39,10 +39,12 @@ from sphex.harmonics import (
     _legendre_rows,
     _longitude_waves,
     _ring_jet_tables,
+    _ring_rows,
+    _ring_scan,
     _ring_values,
 )
 from sphex.specfun import HarmonicLevel, gegenbauer
-from sphex.sphere_geom import icosphere, iso_latitude_grid
+from sphex.sphere_geom import _unit_vectors, icosphere, iso_latitude_grid
 
 
 def gl_product(n_theta: int, n_phi: int):
@@ -226,6 +228,21 @@ class TestEvaluate:
         grid = iso_latitude_grid(max(20 * ell * ell, 4))
         tables = _ring_jet_tables(ell, *grid.rings)
         assert np.array_equal(_ring_values(cv, tables), evaluate_grid(cv, grid))
+
+    @pytest.mark.parametrize("n_phi", [101, 102])
+    def test_ring_scan_at_odd_and_even_longitude_counts(self, n_phi):
+        # the inverse-FFT scan at n_phi longitudes over a full turn, on the
+        # rings of iso_latitude_grid(20 ell^2) at ell=16 (whose rings carry
+        # 101), against per-point evaluation: an odd count has no Nyquist
+        # bin, and every non-zonal order still takes n_phi / 2 as its weight
+        ell = 16
+        cv = sample_gaussian(HarmonicLevel(ell, 2), stream(4, n_phi, "ringscan"))
+        thetas = iso_latitude_grid(20 * ell * ell).rings[0]
+        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        scan = _ring_scan(cv, _ring_rows(ell, thetas), n_phi)
+        ref = evaluate(cv, _unit_vectors(np.repeat(thetas, n_phi),
+                                         np.tile(phis, thetas.size)))
+        assert np.abs(scan - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_grid_tables_reused_across_fields(self):
         # one grid serves fields of interleaved degrees, including the

@@ -522,13 +522,10 @@ def euler_characteristic_mesh(
     values = evaluate(coeffs, mesh.vertices)
     # each edge's and face's smallest vertex value, taken one vertex column
     # at a time (a row-wise min over 2 or 3 entries is ten times slower)
-    edge_min, face_min = (functools.reduce(np.minimum, values[cells.T])
-                          for cells in (mesh.edges, mesh.faces))
-
-    def above(lowest: np.ndarray) -> np.ndarray:
-        return np.count_nonzero(lowest >= levels.reshape(-1, 1), axis=1)
-
-    chi = above(values) - above(edge_min) + above(face_min)
+    lowest = [values] + [functools.reduce(np.minimum, values[cells.T])
+                         for cells in (mesh.edges, mesh.faces)]
+    n_v, n_e, n_f = (np.count_nonzero(m >= levels.reshape(-1, 1), axis=1) for m in lowest)
+    chi = n_v - n_e + n_f
     return int(chi[0]) if levels.ndim == 0 else chi
 
 

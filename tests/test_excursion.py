@@ -723,12 +723,12 @@ class TestSeedRings:
         (thetas, phis), rows = excursion._seed_rings(ell)
         seed_t, seed_p = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
         calls = []
+        jet2 = harmonics._frame_jet2
 
         def recording(coeffs, theta, phi):
             calls.append(_unit_vectors(theta, phi))
             return jet2(coeffs, theta, phi)
 
-        jet2 = harmonics._frame_jet2
         monkeypatch.setattr(harmonics, "_frame_jet2", recording)
         excursion._newton_roots(cv, seed_t, seed_p, harmonics._ring_jet2(cv, rows, phis.size))
         assert len(calls) > 2

@@ -288,12 +288,12 @@ def _newton_roots(
     first iteration uses; later iterations evaluate the jet at the
     iterates.  An iterate whose Newton step is longer than pi/(2 ell), on
     any iteration, is outside every root's quadratic basin and is dropped
-    there, so no accepted step is ever damped: an iterate closer to the
-    same root takes a shorter step, and the far ones (about 60% of the
-    seed rings on the first iteration) were the ones that wandered without
-    converging.  After every step, iterates that round to one point on a
-    0.05/ell quantum are thinned to the first of them.  An iterate has
-    converged once its gradient norm is at most 1e-8 * ell * radius.
+    there, so every step taken is a full Newton step: an iterate closer to
+    the same root takes a shorter one, and the far ones (about 60% of the
+    seeds on the first iteration) wander without converging.  After every
+    step, iterates that round to one point on a 0.05/ell quantum are
+    thinned to the first of them.  An iterate has converged once its
+    gradient norm is at most 1e-8 * ell * radius.
     Returns (theta, phi) arrays of converged iterates.  Non-converged,
     escaped or far iterates are silently dropped; completeness is the
     caller's responsibility (seed density plus the Morse-count check).
